@@ -10,15 +10,26 @@ Partial-scope problems use the coverage potential from
 largest marginal gain until the potential tops out.  The guarantee is
 ``ln(best single-vertex value) + 1``, which never exceeds
 ``ln(2 * max degree) + 1``.
+
+Both greedies evaluate lazily (Minoux's accelerated greedy).  A
+candidate's score never rises as the solution grows: the multicover
+score only loses elements, and the coverage potential is submodular.  So
+a score computed in an earlier round is an upper bound on today's, and a
+candidate whose fresh score still equals its stale key beats every other
+candidate.  Keying the heap on ``(-score, id)`` keeps the eager
+tie-break, so the picks, their order and the guarantees are exactly
+those of the greedy that rescans every candidate each round.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
-from .errors import InfeasibleError, WrongVariantError
-from .feasibility import CoverageState, Solution, coverage_target, is_feasible
+from .errors import CertificationError, InfeasibleError, MissingParamError, WrongVariantError
+from .feasibility import CoverageState, Solution, certify, coverage_target
 from .variants import Instance, Neighborhood, Scope
 
 __all__ = [
@@ -30,6 +41,30 @@ __all__ = [
 ]
 
 
+def _lazy_picks(
+    initial: Iterable[tuple[int, int]], score: Callable[[int], int]
+) -> Iterator[int]:
+    """Candidates in eager greedy order: best current score, smallest id.
+
+    ``initial`` holds ``(id, score)`` pairs at the start.  The caller
+    commits each yielded candidate before asking for the next, and no
+    commit may raise any other candidate's score.  Candidates whose score
+    drops to zero are dropped, as the eager greedy never takes them.
+    """
+    heap = [(-s, i) for i, s in initial if s > 0]
+    heapq.heapify(heap)
+    while heap:
+        stale, i = heap[0]
+        fresh = score(i)
+        if fresh == -stale:
+            heapq.heappop(heap)
+            yield i
+        elif fresh > 0:
+            heapq.heapreplace(heap, (-fresh, i))
+        else:
+            heapq.heappop(heap)
+
+
 @dataclass(frozen=True)
 class MulticoverInstance:
     """Cover each element u of 0..universe_size-1 by requirement[u] distinct sets."""
@@ -39,7 +74,11 @@ class MulticoverInstance:
     requirements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert len(self.requirements) == self.universe_size
+        if len(self.requirements) != self.universe_size:
+            raise MissingParamError(
+                f"expected {self.universe_size} requirements, "
+                f"got {len(self.requirements)}"
+            )
 
     def max_set_size(self) -> int:
         return max((len(s) for s in self.family), default=0)
@@ -53,7 +92,8 @@ def greedy_multicover(mc: MulticoverInstance) -> tuple[int, ...]:
     per element, as multicover demands distinct sets.
 
     Raises:
-        InfeasibleError: some element appears in fewer sets than required.
+        InfeasibleError: some element appears in fewer sets than required,
+            or no set still covers an element with unmet requirement.
     """
     membership = [0] * mc.universe_size
     for s in mc.family:
@@ -64,26 +104,27 @@ def greedy_multicover(mc: MulticoverInstance) -> tuple[int, ...]:
             raise InfeasibleError(
                 f"element {u} needs {req} sets but appears in only {membership[u]}"
             )
+    family = mc.family
     remaining = list(mc.requirements)
     outstanding = sum(remaining)
-    unused = [True] * len(mc.family)
+    if outstanding == 0:
+        return ()
     picks: list[int] = []
-    while outstanding > 0:
-        best, best_score = -1, 0
-        for i, s in enumerate(mc.family):
-            if not unused[i]:
-                continue
-            score = sum(1 for u in s if remaining[u] > 0)
-            if score > best_score:
-                best, best_score = i, score
-        assert best >= 0, "feasible multicover ran out of useful sets"
-        unused[best] = False
+
+    def score(i: int) -> int:
+        return sum(1 for u in family[i] if remaining[u] > 0)
+
+    for best in _lazy_picks(((i, score(i)) for i in range(len(family))), score):
         picks.append(best)
-        for u in mc.family[best]:
+        for u in family[best]:
             if remaining[u] > 0:
                 remaining[u] -= 1
                 outstanding -= 1
-    return tuple(picks)
+        if outstanding == 0:
+            return tuple(picks)
+    raise InfeasibleError(
+        f"no set covers the {outstanding} requirement units still unmet"
+    )
 
 
 def _harmonic_style_bound(size: int) -> float:
@@ -95,6 +136,7 @@ def greedy_total_vector(inst: Instance) -> Solution:
 
     Raises:
         InfeasibleError: some demand exceeds the vertex degree.
+        CertificationError: the chosen set fails its feasibility check.
     """
     if inst.scope is not Scope.TOTAL or inst.neighborhood is not Neighborhood.OPEN:
         raise WrongVariantError("expected a total-scope open-neighbourhood instance")
@@ -107,9 +149,10 @@ def greedy_total_vector(inst: Instance) -> Solution:
     mc = MulticoverInstance(g.n, g._adj, inst.demands)
     picks = greedy_multicover(mc)
     chosen = frozenset(picks)
+    certify(inst, chosen, "greedy-total-vector")
     return Solution(
         vertices=chosen,
-        status="feasible" if is_feasible(inst, chosen) else "infeasible",
+        status="feasible",
         quality="approx",
         method="greedy-total-vector",
         bound=_harmonic_style_bound(g.max_degree()),
@@ -121,6 +164,7 @@ def greedy_multiple_domination(inst: Instance) -> Solution:
 
     Raises:
         InfeasibleError: some demand exceeds degree plus one.
+        CertificationError: the chosen set fails its feasibility check.
     """
     if inst.scope is not Scope.TOTAL or inst.neighborhood is not Neighborhood.CLOSED:
         raise WrongVariantError("expected a total-scope closed-neighbourhood instance")
@@ -137,9 +181,10 @@ def greedy_multiple_domination(inst: Instance) -> Solution:
     mc = MulticoverInstance(g.n, family, inst.demands)
     picks = greedy_multicover(mc)
     chosen = frozenset(picks)
+    certify(inst, chosen, "greedy-multiple-domination")
     return Solution(
         vertices=chosen,
-        status="feasible" if is_feasible(inst, chosen) else "infeasible",
+        status="feasible",
         quality="approx",
         method="greedy-multiple-domination",
         bound=_harmonic_style_bound(g.max_degree() + 1),
@@ -154,6 +199,10 @@ def greedy_vector_domination(inst: Instance) -> Solution:
     vertex with the best marginal coverage gain is added until the
     potential reaches its maximum; ties fall to the smallest id.  Never
     infeasible: the full vertex set always works.
+
+    Raises:
+        CertificationError: the potential stalls below its maximum, or the
+            chosen set fails its feasibility check.
     """
     if inst.scope is not Scope.PARTIAL or inst.neighborhood is not Neighborhood.OPEN:
         raise WrongVariantError("expected a partial-scope open-neighbourhood instance")
@@ -164,16 +213,16 @@ def greedy_vector_domination(inst: Instance) -> Solution:
         if demands[v] > g.degree(v):
             state.add(v)
     target = coverage_target(inst)
-    while state.value < target:
-        best, best_gain = -1, 0
-        for v in range(g.n):
-            if v in state.members:
-                continue
-            gain = state.gain(v)
-            if gain > best_gain:
-                best, best_gain = v, gain
-        assert best >= 0, "potential below target with no positive gain"
-        state.add(best)
+    if state.value < target:
+        candidates = ((v, state.gain(v)) for v in range(g.n) if v not in state.members)
+        for best in _lazy_picks(candidates, state.gain):
+            state.add(best)
+            if state.value >= target:
+                break
+        else:
+            raise CertificationError(
+                f"potential stuck at {state.value} below its maximum {target}"
+            )
     # best single-vertex potential: own demand plus one per demanding neighbour
     best_single = max(
         (
@@ -183,9 +232,10 @@ def greedy_vector_domination(inst: Instance) -> Solution:
         default=0,
     )
     chosen = frozenset(state.members)
+    certify(inst, chosen, "greedy-vector-domination")
     return Solution(
         vertices=chosen,
-        status="feasible" if is_feasible(inst, chosen) else "infeasible",
+        status="feasible",
         quality="approx",
         method="greedy-vector-domination",
         bound=_harmonic_style_bound(best_single),

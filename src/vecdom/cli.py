@@ -2,7 +2,8 @@
 
 Every run prints one flat JSON record with a fixed field order, so outputs
 diff cleanly; only the elapsed-time fields vary between identical runs.
-Exit codes: 0 success, 1 infeasible (or a failed check), 2 input error.
+Exit codes: 0 success, 1 infeasible (or a failed check), 2 input error,
+3 a solver's answer failed its own feasibility certification.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from .approx import (
     greedy_vector_domination,
 )
 from .bench import FAMILIES, BenchConfig, bench_suite
-from .errors import InfeasibleError, MalformedError, VecdomError, WrongVariantError
+from .errors import (
+    CertificationError,
+    InfeasibleError,
+    MalformedError,
+    VecdomError,
+    WrongVariantError,
+)
 from .exact import (
     DEFAULT_ORACLE_CAP,
     auto_solve,
@@ -64,6 +71,7 @@ ORACLE_CAP_ENV = "VECDOM_ORACLE_CAP"
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
+EXIT_CERTIFICATION = 3
 
 
 def _oracle_cap() -> int:
@@ -355,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except CertificationError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
     except VecdomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

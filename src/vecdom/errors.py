@@ -65,6 +65,10 @@ class InfeasibleError(VecdomError):
     """No vertex subset satisfies the instance."""
 
 
+class CertificationError(VecdomError):
+    """A solver's own answer failed its feasibility check."""
+
+
 class TooLargeError(VecdomError):
     """The instance exceeds the exhaustive-search size cap."""
 

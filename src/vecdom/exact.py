@@ -3,9 +3,10 @@
 All of these solve the partial-scope, open-neighbourhood problem (the
 cograph solver also handles total scope).  Each returns a
 :class:`~vecdom.feasibility.Solution` flagged optimal, and each certifies
-its own answer with :func:`~vecdom.feasibility.is_feasible` before
-returning.  ``brute_force_minimum`` is the reference oracle the others are
-validated against.
+its own answer with :func:`~vecdom.feasibility.certify` before returning,
+raising :class:`~vecdom.errors.CertificationError` when the check fails.
+``brute_force_minimum`` is the reference oracle the others are validated
+against.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     TooLargeError,
     WrongVariantError,
 )
-from .feasibility import Solution, is_feasible
+from .feasibility import Solution, certify
 from .graph import Graph, induced_subgraph
 from .variants import Instance, Neighborhood, Scope
 
@@ -57,10 +58,10 @@ _RECOGNITION_CAP = 4096
 
 
 def _certified(inst: Instance, chosen: frozenset[int], method: str) -> Solution:
-    ok = is_feasible(inst, chosen).feasible
+    certify(inst, chosen, method)
     return Solution(
         vertices=chosen,
-        status="feasible" if ok else "infeasible",
+        status="feasible",
         quality="optimal",
         method=method,
     )
@@ -570,8 +571,8 @@ def auto_solve(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
         if inst.scope is Scope.PARTIAL:
             open_inst = replace(inst, neighborhood=Neighborhood.OPEN)
             inner = auto_solve(open_inst, cap)
-            ok = is_feasible(inst, inner.vertices).feasible
-            return replace(inner, status="feasible" if ok else "infeasible")
+            certify(inst, inner.vertices, inner.method)
+            return inner
         if n <= cap:
             return brute_force_minimum(inst, cap)
         return greedy_multiple_domination(inst)

@@ -16,17 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import AlreadyInSetError, WrongVariantError
+from .errors import AlreadyInSetError, CertificationError, WrongVariantError
 from .variants import Instance, Neighborhood, Scope
 
 __all__ = [
     "Solution",
     "FeasibilityResult",
     "is_feasible",
+    "certify",
     "coverage_value",
     "coverage_target",
     "CoverageState",
-    "marginal_gain",
 ]
 
 
@@ -90,6 +90,21 @@ def is_feasible(inst: Instance, chosen: Iterable[int]) -> FeasibilityResult:
         if have < demands[v]:
             violations.append(v)
     return FeasibilityResult(not violations, tuple(violations))
+
+
+def certify(inst: Instance, chosen: frozenset[int], method: str) -> None:
+    """A solver's last step: check its own answer against the instance.
+
+    Raises:
+        CertificationError: some vertex is left short of its demand.
+    """
+    violations = is_feasible(inst, chosen).violations
+    if violations:
+        shown = ", ".join(str(v) for v in violations[:10])
+        raise CertificationError(
+            f"{method} returned a set that leaves {len(violations)} vertices "
+            f"short of their demand (first: {shown})"
+        )
 
 
 def _require_partial_open(inst: Instance, what: str) -> None:
@@ -162,8 +177,3 @@ class CoverageState:
                 self.value += 1
             counts[u] += 1
         members.add(w)
-
-
-def marginal_gain(state: CoverageState, w: int) -> int:
-    """Gain of a candidate vertex under the current state."""
-    return state.gain(w)

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vecdom import (
+    CoverageState,
+    Graph,
     Instance,
     MulticoverInstance,
     Neighborhood,
@@ -18,6 +23,7 @@ from vecdom import (
     build_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     greedy_multicover,
     greedy_multiple_domination,
     greedy_total_vector,
@@ -25,7 +31,13 @@ from vecdom import (
     is_feasible,
     star_graph,
 )
-from vecdom.errors import InfeasibleError, WrongVariantError
+from vecdom import approx, feasibility
+from vecdom.errors import (
+    CertificationError,
+    InfeasibleError,
+    MissingParamError,
+    WrongVariantError,
+)
 
 from .strategies import PROPERTY_SETTINGS, instances
 
@@ -186,3 +198,196 @@ class TestSharedProperties:
         else:
             factor = math.log(2 * delta) + 1
         assert len(sol.vertices) <= factor * len(optimum.vertices)
+
+
+# ---------------------------------------------------------------------------
+# Differential check: the lazy greedies against a plain eager reference that
+# rescans every candidate in every round.
+
+
+def _eager_multicover(family, requirements) -> tuple[int, ...] | None:
+    """Reference picks, or None when some element is in too few sets."""
+    membership = [0] * len(requirements)
+    for s in family:
+        for u in s:
+            membership[u] += 1
+    if any(req > have for req, have in zip(requirements, membership)):
+        return None
+    remaining = list(requirements)
+    outstanding = sum(remaining)
+    unused = [True] * len(family)
+    picks = []
+    while outstanding > 0:
+        best, best_score = -1, 0
+        for i, s in enumerate(family):
+            if unused[i]:
+                score = sum(1 for u in s if remaining[u] > 0)
+                if score > best_score:
+                    best, best_score = i, score
+        unused[best] = False
+        picks.append(best)
+        for u in family[best]:
+            if remaining[u] > 0:
+                remaining[u] -= 1
+                outstanding -= 1
+    return tuple(picks)
+
+
+def _eager_vector(inst: Instance) -> frozenset[int]:
+    g, demands = inst.graph, inst.demands
+    state = CoverageState(inst)
+    for v in range(g.n):
+        if demands[v] > g.degree(v):
+            state.add(v)
+    while state.value < sum(demands):
+        best, best_gain = -1, 0
+        for v in range(g.n):
+            if v not in state.members:
+                gain = state.gain(v)
+                if gain > best_gain:
+                    best, best_gain = v, gain
+        state.add(best)
+    return frozenset(state.members)
+
+
+def _log_bound(size: int) -> float:
+    return math.log(size) + 1.0 if size > 1 else 1.0
+
+
+def _differential_graph(case: int, rng: random.Random) -> Graph:
+    n = rng.randint(1, 40)
+    kind = case % 6
+    if kind == 0:
+        p = rng.uniform(0.02, 0.6)
+        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    if kind == 1:
+        return cycle_graph(max(n, 3))
+    if kind == 2:
+        return complete_graph(n)
+    if kind == 3:
+        return star_graph(n - 1)
+    if kind == 4:
+        return build_graph(n, [])
+    # a union of equal small cliques and stars: many exactly tied candidates
+    blocks = [complete_graph(3) if b % 2 else star_graph(3) for b in range(1 + n // 5)]
+    return disjoint_union(blocks)[0]
+
+
+def _differential_demands(g: Graph, rng: random.Random) -> tuple[int, ...]:
+    top = rng.randint(0, 3)
+    if rng.random() < 0.5:
+        return (top,) * g.n
+    # up to degree + 1, so forced vertices and infeasible total instances occur
+    return tuple(rng.randint(0, min(g.degree(v) + 1, top)) for v in range(g.n))
+
+
+def test_lazy_greedies_match_eager_reference() -> None:
+    for case in range(1200):
+        rng = random.Random(f"lazy-vs-eager:{case}")
+        g = _differential_graph(case, rng)
+        demands = _differential_demands(g, rng)
+        delta = g.max_degree()
+
+        open_family = g._adj
+        closed_family = tuple(tuple(sorted(g.neighbors(v) + (v,))) for v in range(g.n))
+        for family, inst, greedy, bound in (
+            (open_family, _total_open(g, demands), greedy_total_vector, _log_bound(delta)),
+            (closed_family, _total_closed(g, demands), greedy_multiple_domination,
+             _log_bound(delta + 1)),
+        ):
+            mc = MulticoverInstance(g.n, family, demands)
+            expected = _eager_multicover(family, demands)
+            if expected is None:
+                with pytest.raises(InfeasibleError):
+                    greedy_multicover(mc)
+                with pytest.raises(InfeasibleError):
+                    greedy(inst)
+                continue
+            assert greedy_multicover(mc) == expected, case
+            sol = greedy(inst)
+            assert sol.vertices == frozenset(expected), case
+            assert sol.bound == bound
+
+        inst = _partial_open(g, demands)
+        sol = greedy_vector_domination(inst)
+        assert sol.vertices == _eager_vector(inst), case
+        best_single = max(
+            (demands[v] + sum(1 for u in g.neighbors(v) if demands[u] > 0) for v in range(g.n)),
+            default=0,
+        )
+        assert sol.bound == _log_bound(best_single)
+        assert sol.coarse_bound == _log_bound(2 * delta)
+
+
+# ---------------------------------------------------------------------------
+# Explicit checks that hold under ``python -O`` too.
+
+
+def test_multicover_length_mismatch_rejected() -> None:
+    with pytest.raises(MissingParamError):
+        MulticoverInstance(universe_size=2, family=((0, 1),), requirements=(1,))
+
+
+def test_stalled_potential_raises_instead_of_index_error(monkeypatch) -> None:
+    class NoGain(CoverageState):
+        def gain(self, w: int) -> int:
+            return 0
+
+    monkeypatch.setattr(approx, "CoverageState", NoGain)
+    with pytest.raises(CertificationError):
+        greedy_vector_domination(_partial_open(cycle_graph(4), UNIT))
+
+
+def test_failed_certification_raises(monkeypatch) -> None:
+    monkeypatch.setattr(
+        feasibility, "is_feasible", lambda inst, chosen: feasibility.FeasibilityResult(False, (0,))
+    )
+    for greedy, inst in (
+        (greedy_total_vector, _total_open(cycle_graph(4), UNIT)),
+        (greedy_multiple_domination, _total_closed(cycle_graph(4), UNIT)),
+        (greedy_vector_domination, _partial_open(cycle_graph(4), UNIT)),
+    ):
+        with pytest.raises(CertificationError):
+            greedy(inst)
+
+
+_OPTIMIZED_SCRIPT = """
+import sys
+from vecdom import (Instance, MulticoverInstance, Neighborhood, Scope, cycle_graph,
+                    greedy_multiple_domination, greedy_total_vector, greedy_vector_domination)
+from vecdom.errors import VecdomError
+assert sys.flags.optimize >= 1 and not __debug__
+g = cycle_graph(7)
+k = (1, 2, 1, 0, 2, 1, 1)
+for greedy, nbhd, scope in (
+    (greedy_total_vector, Neighborhood.OPEN, Scope.TOTAL),
+    (greedy_multiple_domination, Neighborhood.CLOSED, Scope.TOTAL),
+    (greedy_vector_domination, Neighborhood.OPEN, Scope.PARTIAL),
+):
+    print(sorted(greedy(Instance(g, nbhd, scope, k)).vertices))
+try:
+    MulticoverInstance(2, ((0, 1),), (1,))
+except VecdomError as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_greedies_unchanged_under_optimize_flag() -> None:
+    src = Path(approx.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    g = cycle_graph(7)
+    k = (1, 2, 1, 0, 2, 1, 1)
+    expected = [
+        str(sorted(greedy_total_vector(_total_open(g, k)).vertices)),
+        str(sorted(greedy_multiple_domination(_total_closed(g, k)).vertices)),
+        str(sorted(greedy_vector_domination(_partial_open(g, k)).vertices)),
+        "MissingParamError",
+    ]
+    assert done.stdout.split("\n")[:4] == expected

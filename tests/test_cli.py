@@ -7,12 +7,21 @@ from pathlib import Path
 
 import pytest
 
-from vecdom.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, ORACLE_CAP_ENV, main
+from vecdom import feasibility
+from vecdom.cli import (
+    EXIT_CERTIFICATION,
+    EXIT_INFEASIBLE,
+    EXIT_INPUT,
+    EXIT_OK,
+    ORACLE_CAP_ENV,
+    main,
+)
 from vecdom.io import parse_demands, parse_graph
 
 C4 = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 STAR = "p edge 4 3\ne 1 2\ne 1 3\ne 1 4\n"
 SINGLE = "p edge 1 0\n"
+P3 = "p edge 3 2\ne 1 2\ne 2 3\n"
 
 
 @pytest.fixture()
@@ -103,6 +112,21 @@ class TestSolve:
             sizes[method] = _record(capsys)["size"]
         assert sizes["auto"] == sizes["oracle"] == sizes["cograph"] == 2
         assert sizes["greedy"] >= 2
+
+    def test_failed_certification_exit_three(self, tmp_path, monkeypatch, capsys) -> None:
+        # a self-check that reports a violation must not pass as a solution
+        monkeypatch.setattr(
+            feasibility,
+            "is_feasible",
+            lambda inst, chosen: feasibility.FeasibilityResult(False, (0,)),
+        )
+        gr = _write(tmp_path, "p3.gr", P3)
+        for method in ("auto", "greedy"):
+            code = main(["solve", gr, "--variant", "k-domination", "--k", "1", "--method", method])
+            assert code == EXIT_CERTIFICATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "certification failed" in captured.err
 
 
 class TestVerify:

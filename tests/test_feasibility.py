@@ -15,7 +15,6 @@ from vecdom import (
     coverage_value,
     cycle_graph,
     is_feasible,
-    marginal_gain,
     star_graph,
 )
 from vecdom.errors import AlreadyInSetError, WrongVariantError
@@ -136,24 +135,24 @@ class TestCoverageValue:
 class TestMarginalGain:
     def test_center_from_empty(self) -> None:
         state = CoverageState(_star_instance())
-        assert marginal_gain(state, 0) == 5
+        assert state.gain(0) == 5
 
     def test_leaf_from_empty(self) -> None:
         state = CoverageState(_star_instance())
-        assert marginal_gain(state, 1) == 2
+        assert state.gain(1) == 2
 
     def test_saturated_vertex_gains_nothing(self) -> None:
         inst = _star_instance()
         state = CoverageState(inst)
         state.add(0)
         # every demand already met and leaves have k=1 <= current count
-        assert marginal_gain(state, 1) == 0
+        assert state.gain(1) == 0
 
     def test_member_rejected(self) -> None:
         state = CoverageState(_star_instance())
         state.add(0)
         with pytest.raises(AlreadyInSetError):
-            marginal_gain(state, 0)
+            state.gain(0)
 
     @given(instances(neighborhoods=(Neighborhood.OPEN,), scopes=(Scope.PARTIAL,), extra=1),
            st.randoms(use_true_random=False))
@@ -166,7 +165,7 @@ class TestMarginalGain:
         rng.shuffle(order)
         for w in order:
             before = coverage_value(inst, members)
-            gain = marginal_gain(state, w)
+            gain = state.gain(w)
             after = coverage_value(inst, members | {w})
             assert gain == after - before
             if rng.random() < 0.6:
