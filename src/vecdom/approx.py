@@ -26,19 +26,35 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CertificationError, InfeasibleError, MissingParamError, WrongVariantError
+from .errors import (
+    CertificationError,
+    DuplicateVertexError,
+    InfeasibleError,
+    MissingParamError,
+    OutOfRangeError,
+    WrongVariantError,
+)
 from .feasibility import CoverageState, Solution, certify, coverage_target
-from .variants import Instance, Neighborhood, Scope
+from .variants import Instance, Neighborhood, Scope, reduce_forced
 
 __all__ = [
+    "GREEDY_METHODS",
     "MulticoverInstance",
     "greedy_multicover",
+    "greedy_solution",
     "greedy_total_vector",
     "greedy_multiple_domination",
     "greedy_vector_domination",
 ]
+
+# Solution.method of the greedy for each (scope, neighbourhood) it handles
+GREEDY_METHODS = {
+    (Scope.PARTIAL, Neighborhood.OPEN): "greedy-vector-domination",
+    (Scope.TOTAL, Neighborhood.OPEN): "greedy-total-vector",
+    (Scope.TOTAL, Neighborhood.CLOSED): "greedy-multiple-domination",
+}
 
 
 def _lazy_picks(
@@ -79,9 +95,11 @@ class MulticoverInstance:
                 f"expected {self.universe_size} requirements, "
                 f"got {len(self.requirements)}"
             )
-
-    def max_set_size(self) -> int:
-        return max((len(s) for s in self.family), default=0)
+        for i, s in enumerate(self.family):
+            if s and (min(s) < 0 or max(s) >= self.universe_size):
+                raise OutOfRangeError(f"set {i} leaves the range 0..{self.universe_size - 1}")
+            if len(set(s)) != len(s):
+                raise DuplicateVertexError(f"set {i} lists an element twice")
 
 
 def greedy_multicover(mc: MulticoverInstance) -> tuple[int, ...]:
@@ -131,6 +149,16 @@ def _harmonic_style_bound(size: int) -> float:
     return math.log(size) + 1.0 if size > 1 else 1.0
 
 
+def _certified_greedy(inst: Instance, scope: Scope, neighborhood: Neighborhood) -> Solution:
+    if inst.scope is not scope or inst.neighborhood is not neighborhood:
+        raise WrongVariantError(
+            f"expected a {scope.value}-scope {neighborhood.value}-neighbourhood instance"
+        )
+    solution = greedy_solution(inst, reduce_forced(inst)[0])
+    certify(inst, solution.vertices, solution.method)
+    return solution
+
+
 def greedy_total_vector(inst: Instance) -> Solution:
     """Greedy for total scope with open neighbourhoods.
 
@@ -138,25 +166,7 @@ def greedy_total_vector(inst: Instance) -> Solution:
         InfeasibleError: some demand exceeds the vertex degree.
         CertificationError: the chosen set fails its feasibility check.
     """
-    if inst.scope is not Scope.TOTAL or inst.neighborhood is not Neighborhood.OPEN:
-        raise WrongVariantError("expected a total-scope open-neighbourhood instance")
-    g = inst.graph
-    for v in range(g.n):
-        if inst.demands[v] > g.degree(v):
-            raise InfeasibleError(
-                f"vertex {v} demands {inst.demands[v]} of {g.degree(v)} neighbours"
-            )
-    mc = MulticoverInstance(g.n, g._adj, inst.demands)
-    picks = greedy_multicover(mc)
-    chosen = frozenset(picks)
-    certify(inst, chosen, "greedy-total-vector")
-    return Solution(
-        vertices=chosen,
-        status="feasible",
-        quality="approx",
-        method="greedy-total-vector",
-        bound=_harmonic_style_bound(g.max_degree()),
-    )
+    return _certified_greedy(inst, Scope.TOTAL, Neighborhood.OPEN)
 
 
 def greedy_multiple_domination(inst: Instance) -> Solution:
@@ -166,29 +176,7 @@ def greedy_multiple_domination(inst: Instance) -> Solution:
         InfeasibleError: some demand exceeds degree plus one.
         CertificationError: the chosen set fails its feasibility check.
     """
-    if inst.scope is not Scope.TOTAL or inst.neighborhood is not Neighborhood.CLOSED:
-        raise WrongVariantError("expected a total-scope closed-neighbourhood instance")
-    g = inst.graph
-    for v in range(g.n):
-        if inst.demands[v] > g.degree(v) + 1:
-            raise InfeasibleError(
-                f"vertex {v} demands {inst.demands[v]} of {g.degree(v) + 1} "
-                "closed neighbours"
-            )
-    family = tuple(
-        tuple(sorted(g.neighbors(v) + (v,))) for v in range(g.n)
-    )
-    mc = MulticoverInstance(g.n, family, inst.demands)
-    picks = greedy_multicover(mc)
-    chosen = frozenset(picks)
-    certify(inst, chosen, "greedy-multiple-domination")
-    return Solution(
-        vertices=chosen,
-        status="feasible",
-        quality="approx",
-        method="greedy-multiple-domination",
-        bound=_harmonic_style_bound(g.max_degree() + 1),
-    )
+    return _certified_greedy(inst, Scope.TOTAL, Neighborhood.CLOSED)
 
 
 def greedy_vector_domination(inst: Instance) -> Solution:
@@ -204,14 +192,29 @@ def greedy_vector_domination(inst: Instance) -> Solution:
         CertificationError: the potential stalls below its maximum, or the
             chosen set fails its feasibility check.
     """
-    if inst.scope is not Scope.PARTIAL or inst.neighborhood is not Neighborhood.OPEN:
-        raise WrongVariantError("expected a partial-scope open-neighbourhood instance")
+    return _certified_greedy(inst, Scope.PARTIAL, Neighborhood.OPEN)
+
+
+def greedy_solution(inst: Instance, forced: Sequence[int]) -> Solution:
+    """The greedy's answer for the instance's variant, not yet certified.
+
+    Total scope covers by open or closed neighbourhoods, once every demand
+    is known to fit; partial scope grows the set from ``forced``.
+    """
     g = inst.graph
     demands = inst.demands
+    method = GREEDY_METHODS[(inst.scope, inst.neighborhood)]
+    if inst.scope is Scope.TOTAL:
+        family, largest = g._adj, g.max_degree()
+        if inst.neighborhood is Neighborhood.CLOSED:
+            family = tuple(tuple(sorted(row + (v,))) for v, row in enumerate(family))
+            largest += 1
+        picks = greedy_multicover(MulticoverInstance(g.n, family, demands))
+        bound = _harmonic_style_bound(largest)
+        return Solution(frozenset(picks), "feasible", "approx", method, bound)
     state = CoverageState(inst)
-    for v in range(g.n):
-        if demands[v] > g.degree(v):
-            state.add(v)
+    for v in forced:
+        state.add(v)
     target = coverage_target(inst)
     if state.value < target:
         candidates = ((v, state.gain(v)) for v in range(g.n) if v not in state.members)
@@ -231,13 +234,6 @@ def greedy_vector_domination(inst: Instance) -> Solution:
         ),
         default=0,
     )
-    chosen = frozenset(state.members)
-    certify(inst, chosen, "greedy-vector-domination")
-    return Solution(
-        vertices=chosen,
-        status="feasible",
-        quality="approx",
-        method="greedy-vector-domination",
-        bound=_harmonic_style_bound(best_single),
-        coarse_bound=_harmonic_style_bound(2 * g.max_degree()),
-    )
+    bound = _harmonic_style_bound(best_single)
+    coarse = _harmonic_style_bound(2 * g.max_degree())
+    return Solution(frozenset(state.members), "feasible", "approx", method, bound, coarse)

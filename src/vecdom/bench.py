@@ -13,14 +13,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from .approx import greedy_vector_domination
-from .exact import (
-    DEFAULT_ORACLE_CAP,
-    brute_force_minimum,
-    solve_cograph,
-    solve_threshold_vector,
-    solve_tree_vector,
-)
+from .exact import DEFAULT_ORACLE_CAP, brute_force_minimum, solve
 from .feasibility import Solution
 from .generators import (
     random_cograph,
@@ -33,7 +26,9 @@ from .variants import Instance, Neighborhood, Scope
 
 __all__ = ["BenchConfig", "BenchCell", "BenchReport", "bench_suite"]
 
-FAMILIES = ("trees", "cographs", "threshold", "gnp")
+# the solve method each family is timed with
+_METHODS = {"trees": "tree", "cographs": "cograph", "threshold": "threshold", "gnp": "greedy"}
+FAMILIES = tuple(_METHODS)
 
 
 @dataclass(frozen=True)
@@ -88,39 +83,21 @@ def _cell_rng(config: BenchConfig, size: int) -> random.Random:
     return random.Random(f"{config.seed}:{config.family}:{size}")
 
 
-def _build_cell_instance(config: BenchConfig, size: int) -> tuple[Instance, str]:
+def _build_cell_instance(config: BenchConfig, size: int) -> Instance:
     rng = _cell_rng(config, size)
     family = config.family
     if family == "trees":
         g = random_tree(size, rng)
-        solver = "tree"
     elif family == "cographs":
         g = random_cograph(size, rng)
-        solver = "cograph"
     elif family == "threshold":
         g = random_threshold(size, rng)
-        solver = "threshold"
     elif family == "gnp":
         g = random_gnp(size, config.edge_probability, rng)
-        solver = "greedy-vector-domination"
     else:
         raise ValueError(f"unknown family {family!r}; pick one of {FAMILIES}")
     demands = random_demand_vector(g, rng)
-    inst = Instance(g, Neighborhood.OPEN, Scope.PARTIAL, demands)
-    return inst, solver
-
-
-def _timed_solve(inst: Instance, solver: str) -> tuple[float, Solution]:
-    start = time.perf_counter()
-    if solver == "tree":
-        solution = solve_tree_vector(inst.graph, inst.demands)
-    elif solver == "cograph":
-        solution = solve_cograph(inst)
-    elif solver == "threshold":
-        solution = solve_threshold_vector(inst.graph, inst.demands)
-    else:
-        solution = greedy_vector_domination(inst)
-    return time.perf_counter() - start, solution
+    return Instance(g, Neighborhood.OPEN, Scope.PARTIAL, demands)
 
 
 def bench_suite(config: BenchConfig) -> BenchReport:
@@ -132,12 +109,13 @@ def bench_suite(config: BenchConfig) -> BenchReport:
     """
     cells = []
     for size in config.sizes:
-        inst, solver = _build_cell_instance(config, size)
+        inst = _build_cell_instance(config, size)
         times = []
         solution: Solution | None = None
         for _ in range(max(config.repetitions, 1)):
-            elapsed, solution = _timed_solve(inst, solver)
-            times.append(elapsed)
+            start = time.perf_counter()
+            solution = solve(inst, _METHODS[config.family], config.oracle_cap)
+            times.append(time.perf_counter() - start)
         assert solution is not None
         ratio = None
         if inst.graph.n <= config.oracle_cap:
@@ -150,7 +128,7 @@ def bench_suite(config: BenchConfig) -> BenchReport:
             BenchCell(
                 family=config.family,
                 size=size,
-                solver=solver,
+                solver=solution.method,
                 median_seconds=statistics.median(times),
                 solution_size=solution.size,
                 ratio=ratio,

@@ -14,33 +14,17 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from .approx import (
-    greedy_multiple_domination,
-    greedy_total_vector,
-    greedy_vector_domination,
-)
 from .bench import FAMILIES, BenchConfig, bench_suite
 from .errors import (
     CertificationError,
     InfeasibleError,
     MalformedError,
     VecdomError,
-    WrongVariantError,
 )
-from .exact import (
-    DEFAULT_ORACLE_CAP,
-    auto_solve,
-    brute_force_minimum,
-    solve_cograph,
-    solve_complete_total,
-    solve_complete_vector,
-    solve_threshold_vector,
-    solve_tree_vector,
-)
-from .feasibility import Solution, is_feasible
+from .exact import DEFAULT_ORACLE_CAP, METHODS, solve
+from .feasibility import is_feasible
 from .gadgets import (
     GadgetOutput,
     gadget_alpha_domination,
@@ -100,56 +84,6 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
     return compile_variant(g, spec)
 
 
-def _greedy_for(inst: Instance) -> Solution:
-    if inst.neighborhood is Neighborhood.CLOSED:
-        if inst.scope is Scope.TOTAL:
-            return greedy_multiple_domination(inst)
-        # outside the set, closed and open neighbourhoods agree
-        open_inst = Instance(
-            inst.graph, Neighborhood.OPEN, Scope.PARTIAL, inst.demands
-        )
-        return greedy_vector_domination(open_inst)
-    if inst.scope is Scope.TOTAL:
-        return greedy_total_vector(inst)
-    return greedy_vector_domination(inst)
-
-
-def _solve_by_method(inst: Instance, method: str, cap: int) -> Solution:
-    if method == "auto":
-        return auto_solve(inst, cap)
-    if method == "oracle":
-        return brute_force_minimum(inst, cap)
-    if method == "greedy":
-        return _greedy_for(inst)
-    if method == "cograph":
-        return solve_cograph(inst)
-    if inst.neighborhood is not Neighborhood.OPEN:
-        raise WrongVariantError(f"--method {method} needs open neighbourhoods")
-    if method == "complete":
-        if inst.scope is Scope.PARTIAL:
-            return solve_complete_vector(inst.graph, inst.demands)
-        return solve_complete_total(inst.graph, inst.demands)
-    if inst.scope is not Scope.PARTIAL:
-        raise WrongVariantError(f"--method {method} needs partial scope")
-    if method == "tree":
-        return solve_tree_vector(inst.graph, inst.demands)
-    return solve_threshold_vector(inst.graph, inst.demands)
-
-
-def _solution_record(solution: Solution, elapsed: float, path: str) -> dict:
-    record: dict = {
-        "size": solution.size,
-        "vertices": [v + 1 for v in solution.sorted_vertices()],
-        "feasible": solution.status == "feasible",
-        "quality": solution.quality,
-    }
-    if solution.bound is not None:
-        record["bound"] = solution.bound
-    record["solverPath"] = path
-    record["elapsed"] = elapsed
-    return record
-
-
 def _emit(record: dict) -> None:
     print(json.dumps(record))
 
@@ -159,23 +93,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cap = _oracle_cap()
     start = time.perf_counter()
     try:
-        solution = _solve_by_method(inst, args.method, cap)
-    except InfeasibleError:
+        solution = solve(inst, args.method, cap)
+    except InfeasibleError as exc:
         elapsed = time.perf_counter() - start
-        _emit(
-            {
-                "size": None,
-                "vertices": [],
-                "feasible": False,
-                "quality": "optimal",
-                "solverPath": args.method,
-                "elapsed": elapsed,
-            }
-        )
-        return EXIT_INFEASIBLE
-    elapsed = time.perf_counter() - start
-    _emit(_solution_record(solution, elapsed, solution.method))
-    return EXIT_OK
+        record: dict = {"size": None, "vertices": [], "feasible": False, "quality": exc.quality}
+        path, code = exc.method, EXIT_INFEASIBLE
+    else:
+        elapsed = time.perf_counter() - start
+        record = {
+            "size": solution.size,
+            "vertices": [v + 1 for v in solution.sorted_vertices()],
+            "feasible": solution.status == "feasible",
+            "quality": solution.quality,
+        }
+        if solution.bound is not None:
+            record["bound"] = solution.bound
+        path, code = solution.method, EXIT_OK
+    record["solverPath"] = path
+    record["elapsed"] = elapsed
+    _emit(record)
+    return code
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -316,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_flags(solve)
     solve.add_argument(
         "--method",
-        choices=("auto", "greedy", "oracle", "tree", "cograph", "threshold", "complete"),
+        choices=METHODS,
         default="auto",
     )
     solve.set_defaults(func=_cmd_solve)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import NotCographError, NotThresholdError
 from .graph import Graph
@@ -13,8 +13,8 @@ from .graph import Graph
 __all__ = [
     "CotreeNode",
     "build_modified_cotree",
-    "cotree_edges",
     "is_cograph",
+    "recognise",
     "ThresholdOrdering",
     "threshold_elimination_order",
     "is_threshold",
@@ -151,29 +151,16 @@ def build_modified_cotree(g: Graph) -> CotreeNode:
         return decompose(sorted(g.vertices()))
 
 
-def cotree_edges(node: CotreeNode) -> set[tuple[int, int]]:
-    """Edge set encoded by a cotree, for replay checks."""
-    if node.kind == "leaf":
-        return set()
-    edges: set[tuple[int, int]] = set()
-    for child in node.children:
-        edges |= cotree_edges(child)
-    if node.kind == "join":
-        left, right = node.children
-        for u in left.vertices:
-            for v in right.vertices:
-                edges.add((u, v) if u < v else (v, u))
-    return edges
+def recognise(build: Callable[[Graph], object], g: Graph):
+    """The certificate ``build(g)`` returns, or None when g is outside its class."""
+    try:
+        return build(g)
+    except (NotCographError, NotThresholdError):
+        return None
 
 
 def is_cograph(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    try:
-        build_modified_cotree(g)
-    except NotCographError:
-        return False
-    return True
+    return g.n == 0 or recognise(build_modified_cotree, g) is not None
 
 
 @dataclass(frozen=True)
@@ -246,8 +233,4 @@ def threshold_elimination_order(g: Graph) -> ThresholdOrdering:
 
 
 def is_threshold(g: Graph) -> bool:
-    try:
-        threshold_elimination_order(g)
-    except NotThresholdError:
-        return False
-    return True
+    return recognise(threshold_elimination_order, g) is not None

@@ -62,7 +62,13 @@ class AlreadyInSetError(VecdomError):
 
 
 class InfeasibleError(VecdomError):
-    """No vertex subset satisfies the instance."""
+    """No vertex subset satisfies the instance.
+
+    ``method`` and ``quality`` name the solver that found out, if any.
+    """
+
+    method: str | None = None
+    quality: str | None = None
 
 
 class CertificationError(VecdomError):
@@ -106,4 +112,4 @@ class NegativeDemandError(ParseError):
 
 
 class DuplicateVertexError(ParseError):
-    """The same vertex appears twice in a demand file."""
+    """The same vertex appears twice where it may appear only once."""

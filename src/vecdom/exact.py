@@ -1,31 +1,25 @@
-"""Exact solvers for vector domination on restricted graph classes.
+"""Exact solvers for vector domination, and the one pipeline that runs them.
 
-All of these solve the partial-scope, open-neighbourhood problem (the
-cograph solver also handles total scope).  Each returns a
-:class:`~vecdom.feasibility.Solution` flagged optimal, and each certifies
-its own answer with :func:`~vecdom.feasibility.certify` before returning,
-raising :class:`~vecdom.errors.CertificationError` when the check fails.
-``brute_force_minimum`` is the reference oracle the others are validated
-against.
+:func:`solve` is how ``auto_solve``, the CLI and ``bench`` reach any
+solver.  The public solvers are thin entries onto the same solver bodies:
+each recognises its graph class, raising ``NotXError`` on a miss, and runs
+the pipeline's last three stages.  Every answer is certified once with
+:func:`~vecdom.feasibility.certify`.  ``brute_force_minimum`` is the
+reference oracle the others are validated against.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .approx import (
-    greedy_multiple_domination,
-    greedy_total_vector,
-    greedy_vector_domination,
-)
+from .approx import GREEDY_METHODS, greedy_solution
 from .decomposition import (
     CotreeNode,
     build_modified_cotree,
     deep_recursion,
-    is_cograph,
-    is_threshold,
+    recognise,
     threshold_elimination_order,
 )
 from .errors import (
@@ -37,34 +31,27 @@ from .errors import (
 )
 from .feasibility import Solution, certify
 from .graph import Graph, induced_subgraph
-from .variants import Instance, Neighborhood, Scope
+from .variants import Instance, Neighborhood, Scope, reduce_forced
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
+    "METHODS",
     "brute_force_minimum",
     "solve_complete_vector",
     "solve_complete_total",
     "solve_tree_vector",
     "solve_cograph",
     "solve_threshold_vector",
-    "threshold_minimum_size",
     "auto_solve",
+    "solve",
 ]
 
 DEFAULT_ORACLE_CAP = 20
 
-# quadratic-time recognisers are only attempted below this size in auto_solve
+METHODS = ("auto", "greedy", "oracle", "tree", "cograph", "threshold", "complete")
+
+# quadratic-time recognisers are only attempted below this size by auto
 _RECOGNITION_CAP = 4096
-
-
-def _certified(inst: Instance, chosen: frozenset[int], method: str) -> Solution:
-    certify(inst, chosen, method)
-    return Solution(
-        vertices=chosen,
-        status="feasible",
-        quality="optimal",
-        method=method,
-    )
 
 
 def brute_force_minimum(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
@@ -79,20 +66,21 @@ def brute_force_minimum(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Soluti
         TooLargeError: the graph exceeds the size cap.
         InfeasibleError: no subset works (possible only under total scope).
     """
+    _require_fits(inst.graph, cap)
+    return _run(inst, "oracle")
+
+
+def _require_fits(g: Graph, cap: int) -> None:
+    if g.n > cap:
+        raise TooLargeError(f"{g.n} vertices exceed the exhaustive-search cap {cap}")
+
+
+def _oracle(inst: Instance, *_: object) -> Iterable[int]:
     g = inst.graph
     n = g.n
-    if n > cap:
-        raise TooLargeError(f"{n} vertices exceed the exhaustive-search cap {cap}")
     demands = inst.demands
     total = inst.scope is Scope.TOTAL
     closed = inst.neighborhood is Neighborhood.CLOSED
-    if total:
-        for v in range(n):
-            available = g.degree(v) + (1 if closed else 0)
-            if demands[v] > available:
-                raise InfeasibleError(
-                    f"vertex {v} demands {demands[v]} of {available} neighbours"
-                )
     masks = []
     for v in range(n):
         mask = 0
@@ -105,7 +93,7 @@ def brute_force_minimum(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Soluti
         (v for v in range(n) if demands[v] > 0), key=lambda v: -demands[v]
     )
     if not checklist:
-        return _certified(inst, frozenset(), "oracle")
+        return ()
     if total:
         smallest = max(demands)
     else:
@@ -125,7 +113,7 @@ def brute_force_minimum(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Soluti
                 if (nbrs & mask).bit_count() < need:
                     break
             else:
-                return _certified(inst, frozenset(combo), "oracle")
+                return combo
     raise InfeasibleError("no vertex subset satisfies the instance")
 
 
@@ -143,11 +131,14 @@ def solve_complete_vector(g: Graph, demands: Sequence[int]) -> Solution:
     nothing at all.
     """
     _require_complete(g)
-    inst = Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands))
-    n = g.n
+    return _run(Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands)), "complete-vector")
+
+
+def _complete_vector(inst: Instance, *_: object) -> Iterable[int]:
+    n = inst.graph.n
     k = inst.demands
     if n == 0 or max(k) == 0:
-        return _certified(inst, frozenset(), "complete-vector")
+        return ()
     # counting sort, descending demand, ascending id inside a bucket;
     # demands above n all sort before any reachable comparison so they
     # can share one bucket
@@ -161,7 +152,7 @@ def solve_complete_vector(g: Graph, demands: Sequence[int]) -> Solution:
         if i >= next_demand:
             prefix = i
             break
-    return _certified(inst, frozenset(order[:prefix]), "complete-vector")
+    return order[:prefix]
 
 
 def solve_complete_total(g: Graph, demands: Sequence[int]) -> Solution:
@@ -175,20 +166,24 @@ def solve_complete_total(g: Graph, demands: Sequence[int]) -> Solution:
         InfeasibleError: some demand exceeds n - 1.
     """
     _require_complete(g)
-    inst = Instance(g, Neighborhood.OPEN, Scope.TOTAL, tuple(demands))
-    n = g.n
+    return _run(Instance(g, Neighborhood.OPEN, Scope.TOTAL, tuple(demands)), "complete-total")
+
+
+def _complete_total(inst: Instance, *_: object) -> Iterable[int]:
+    n = inst.graph.n
     k = inst.demands
     top = max(k, default=0)
     if top == 0:
-        return _certified(inst, frozenset(), "complete-total")
-    if top > n - 1:
-        raise InfeasibleError(f"demand {top} exceeds the {n - 1} available neighbours")
+        return ()
     below = [v for v in range(n) if k[v] < top]
     if n - len(below) <= n - top:
-        chosen = frozenset(below[:top])
-    else:
-        chosen = frozenset(range(top + 1))
-    return _certified(inst, chosen, "complete-total")
+        return below[:top]
+    return range(top + 1)
+
+
+def _require_tree(g: Graph) -> None:
+    if not g.is_tree():
+        raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
 
 
 def solve_tree_vector(
@@ -210,21 +205,19 @@ def solve_tree_vector(
     Raises:
         NotATreeError: the graph is disconnected or has a cycle.
     """
-    if not g.is_tree():
-        raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
+    _require_tree(g)
     inst = Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands))
-    n = g.n
-    adj = g._adj
-    k = list(inst.demands)
-    forced = [v for v in range(n) if k[v] > len(adj[v])]
+    return _run(inst, "tree", check_invariant=check_invariant)
+
+
+def _tree(
+    inst: Instance, cert: None, forced: list[int], k: Sequence[int], check_invariant: bool = False
+) -> Iterable[int]:
+    n = inst.graph.n
+    adj = inst.graph._adj
     in_forced = bytearray(n)
     for v in forced:
         in_forced[v] = 1
-    if forced:
-        for v in forced:
-            for u in adj[v]:
-                if k[u] > 0:
-                    k[u] -= 1
     chosen_list = list(forced)
     in_s = bytearray(n)
     processed = bytearray(n)
@@ -273,12 +266,12 @@ def solve_tree_vector(
                     processed[pv] = 1
             if check_invariant:
                 _assert_sweep_invariant(adj, k, in_forced, processed, in_s)
-    return _certified(inst, frozenset(chosen_list), "tree")
+    return chosen_list
 
 
 def _assert_sweep_invariant(
     adj: tuple[tuple[int, ...], ...],
-    k: list[int],
+    k: Sequence[int],
     in_forced: bytearray,
     processed: bytearray,
     in_s: bytearray,
@@ -289,6 +282,14 @@ def _assert_sweep_invariant(
             continue
         have = sum(1 for u in adj[v] if in_s[u])
         assert have >= k[v], f"vertex {v} processed with {have} < {k[v]} chosen neighbours"
+
+
+def _remainder(g: Graph, forced: list[int], reduced: Sequence[int], recognise: Callable):
+    """The subgraph left by the forced vertices, its demands, old ids and certificate."""
+    skip = set(forced)
+    sub, old_of_new = induced_subgraph(g, [v for v in range(g.n) if v not in skip])
+    cert = recognise(sub) if sub.n else None
+    return sub, [reduced[v] for v in old_of_new], old_of_new, cert
 
 
 _INFEASIBLE = None  # table sentinel: the subproblem admits no set at all
@@ -321,39 +322,24 @@ def solve_cograph(inst: Instance) -> Solution:
     """
     if inst.neighborhood is not Neighborhood.OPEN:
         raise WrongVariantError("the cograph solver handles open neighbourhoods only")
-    g = inst.graph
-    n = g.n
-    if n == 0:
-        return _certified(inst, frozenset(), "cograph")
-    total = inst.scope is Scope.TOTAL
-    demands = inst.demands
-    forced: list[int] = []
-    if total:
-        for v in range(n):
-            if demands[v] > g.degree(v):
-                raise InfeasibleError(
-                    f"vertex {v} demands {demands[v]} of {g.degree(v)} neighbours"
-                )
-        work, work_k, lift = g, list(demands), list(range(n))
+    return _run(inst, "cograph")
+
+
+def _cograph(
+    inst: Instance, tree: CotreeNode | None, forced: list[int], work_k: Sequence[int]
+) -> Iterable[int]:
+    work = inst.graph
+    if work.n == 0:
+        return ()
+    if tree is None:
+        # recognised here, after the total-scope feasibility check
         tree = build_modified_cotree(work)
-    else:
-        forced = [v for v in range(n) if demands[v] > g.degree(v)]
-        if forced:
-            build_modified_cotree(g)  # certify the input graph itself
-            forced_set = set(forced)
-            keep = [v for v in range(n) if v not in forced_set]
-            work, old_of_new = induced_subgraph(g, keep)
-            lift = list(old_of_new)
-            work_k = []
-            for old in old_of_new:
-                drop = sum(1 for u in g.neighbors(old) if u in forced_set)
-                work_k.append(max(demands[old] - drop, 0))
-            if work.n == 0:
-                return _certified(inst, frozenset(forced), "cograph")
-            tree = build_modified_cotree(work)
-        else:
-            work, work_k, lift = g, list(demands), list(range(n))
-            tree = build_modified_cotree(work)
+    lift: Sequence[int] = range(work.n)
+    if forced:
+        work, work_k, lift, tree = _remainder(work, forced, work_k, build_modified_cotree)
+        if work.n == 0:
+            return forced
+    total = inst.scope is Scope.TOTAL
     delta = work.max_degree()
 
     def evaluate(node: CotreeNode) -> list[frozenset[int] | None]:
@@ -418,8 +404,7 @@ def solve_cograph(inst: Instance) -> Solution:
     answer = root_row[0]
     if answer is None:
         raise InfeasibleError("no vertex subset satisfies the instance")
-    chosen = frozenset(forced) | frozenset(lift[v] for v in answer)
-    return _certified(inst, chosen, "cograph")
+    return forced + [lift[v] for v in answer]
 
 
 def _threshold_size_rows(
@@ -461,23 +446,6 @@ def _threshold_size_rows(
     return rows
 
 
-def _threshold_forced_split(
-    g: Graph, demands: Sequence[int]
-) -> tuple[list[int], Graph, list[int], list[int]]:
-    n = g.n
-    forced = [v for v in range(n) if demands[v] > g.degree(v)]
-    if not forced:
-        return [], g, list(demands), list(range(n))
-    forced_set = set(forced)
-    keep = [v for v in range(n) if v not in forced_set]
-    sub, old_of_new = induced_subgraph(g, keep)
-    reduced = []
-    for old in old_of_new:
-        drop = sum(1 for u in g.neighbors(old) if u in forced_set)
-        reduced.append(max(demands[old] - drop, 0))
-    return forced, sub, reduced, list(old_of_new)
-
-
 def solve_threshold_vector(g: Graph, demands: Sequence[int]) -> Solution:
     """Partial-scope solver for threshold graphs.
 
@@ -492,17 +460,23 @@ def solve_threshold_vector(g: Graph, demands: Sequence[int]) -> Solution:
     Raises:
         NotThresholdError: the graph has no elimination ordering.
     """
-    threshold_elimination_order(g)  # certify the input graph itself
+    ordering = threshold_elimination_order(g)
     inst = Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands))
-    forced, sub, reduced, lift = _threshold_forced_split(g, inst.demands)
+    return _run(inst, "threshold", ordering)
+
+
+def _threshold(inst: Instance, ordering, forced: list[int], k: Sequence[int]) -> Iterable[int]:
+    sub = inst.graph
+    lift: Sequence[int] = range(sub.n)
+    if forced:
+        sub, k, lift, ordering = _remainder(sub, forced, k, threshold_elimination_order)
     if sub.n == 0:
-        return _certified(inst, frozenset(forced), "threshold")
-    ordering = threshold_elimination_order(sub)
+        return forced
     order = ordering.order
     kinds = ordering.kinds
     later = ordering.later_dominating
     count = sub.n
-    position_demand = [reduced[order[i]] for i in range(count)]
+    position_demand = [k[order[i]] for i in range(count)]
     rows = _threshold_size_rows(count, position_demand, kinds, later)
     # trace the optimal branch from the top, then replay it bottom-up
     steps: list[tuple[str, int, int]] = []
@@ -533,23 +507,104 @@ def solve_threshold_vector(g: Graph, demands: Sequence[int]) -> Solution:
                 pool = sorted(set(order[:i]) - chosen_local)
                 assert len(pool) >= need, "padding exceeded the available vertices"
                 chosen_local.update(pool[:need])
-    chosen = frozenset(forced) | frozenset(lift[v] for v in chosen_local)
-    return _certified(inst, chosen, "threshold")
+    return forced + [lift[v] for v in chosen_local]
 
 
-def threshold_minimum_size(g: Graph, demands: Sequence[int]) -> int:
-    """Size-only fast path: the optimum value without reconstructing a set."""
-    threshold_elimination_order(g)
-    inst = Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands))
-    forced, sub, reduced, _ = _threshold_forced_split(g, inst.demands)
-    if sub.n == 0:
-        return len(forced)
-    ordering = threshold_elimination_order(sub)
-    position_demand = [reduced[v] for v in ordering.order]
-    rows = _threshold_size_rows(
-        sub.n, position_demand, ordering.kinds, ordering.later_dominating
-    )
-    return len(forced) + rows[-1][0]
+# Solution.method -> body: (instance, certificate, forced, reduced demands) -> chosen vertices
+_EXACT: dict[str, Callable[..., Iterable[int]]] = {
+    "empty-graph": lambda *_: (),
+    "complete-vector": _complete_vector,
+    "complete-total": _complete_total,
+    "tree": _tree,
+    "threshold": _threshold,
+    "cograph": _cograph,
+    "oracle": _oracle,
+}
+
+
+def _run(inst: Instance, method: str, cert=None, target=None, **options) -> Solution:
+    """Stages 3 to 5 for the solver named by ``method``; certify against ``target``."""
+    greedy = method in GREEDY_METHODS.values()
+    try:
+        forced, reduced = reduce_forced(inst)
+        if greedy:
+            solution = greedy_solution(inst, forced)
+        else:
+            chosen = _EXACT[method](inst, cert, forced, reduced, **options)
+            solution = Solution(frozenset(chosen), "feasible", "optimal", method)
+    except InfeasibleError as exc:
+        exc.method, exc.quality = method, "approx" if greedy else "optimal"
+        raise
+    certify(inst if target is None else target, solution.vertices, method)
+    return solution
+
+
+def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
+    """Stage 2: the solver to run, by ``Solution.method``, and its certificate."""
+    g = inst.graph
+    n = g.n
+    partial = inst.scope is Scope.PARTIAL
+    greedy = GREEDY_METHODS.get((inst.scope, inst.neighborhood))
+    if method == "auto":
+        if n == 0:
+            return "empty-graph", None
+        if inst.neighborhood is Neighborhood.CLOSED:
+            return ("oracle" if n <= cap else greedy), None
+        if g.is_complete():
+            return ("complete-vector" if partial else "complete-total"), None
+        if partial and g.is_tree():
+            return "tree", None
+        if n <= _RECOGNITION_CAP:
+            ordering = recognise(threshold_elimination_order, g)
+            if ordering is not None:
+                return ("threshold", ordering) if partial else ("cograph", None)
+            cotree = recognise(build_modified_cotree, g)
+            if cotree is not None:
+                return "cograph", cotree
+        return ("oracle" if n <= cap else greedy), None
+    if method == "oracle":
+        _require_fits(g, cap)
+        return "oracle", None
+    if method == "greedy":
+        return greedy, None
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+    if inst.neighborhood is not Neighborhood.OPEN:
+        raise WrongVariantError(f"method {method!r} needs open neighbourhoods")
+    if method == "cograph":
+        return "cograph", None
+    if method == "complete":
+        _require_complete(g)
+        return ("complete-vector" if partial else "complete-total"), None
+    if not partial:
+        raise WrongVariantError(f"method {method!r} needs partial scope")
+    if method == "tree":
+        _require_tree(g)
+        return "tree", None
+    return "threshold", threshold_elimination_order(g)
+
+
+def solve(inst: Instance, method: str = "auto", cap: int = DEFAULT_ORACLE_CAP) -> Solution:
+    """Solve by one of :data:`METHODS`, in five stages.
+
+    1. Closed to open: closed neighbourhoods under partial scope become
+       open ones; outside the set both count alike.
+    2. Route: ``auto`` picks a solver as :func:`auto_solve` describes, any
+       other method names one.  Recognition yields the certificate, a
+       threshold ordering or a cotree, that the solver then uses.
+    3. Reduce with :func:`~vecdom.variants.reduce_forced`.
+    4. Solve; only a subgraph left by forced vertices is recognised again.
+    5. Certify the answer once, against the instance as given.
+
+    A named method raises ``NotXError`` outside its class, ``WrongVariantError``
+    outside its variants, ``TooLargeError`` (oracle) above ``cap``.  An
+    ``InfeasibleError`` carries the routed solver's method and quality.
+    """
+    target = inst
+    if inst.neighborhood is Neighborhood.CLOSED and inst.scope is Scope.PARTIAL:
+        inst = replace(inst, neighborhood=Neighborhood.OPEN)
+    route, cert = _route(inst, method, cap)
+    return _run(inst, route, cert, target)
 
 
 def auto_solve(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
@@ -560,38 +615,6 @@ def auto_solve(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
     under the cap, and the bounded greedy takes over beyond it.  Class
     recognition beyond completeness and treeness is quadratic, so it is
     skipped on very large graphs.  Partial-scope instances with closed
-    neighbourhoods are solved through their open-neighbourhood equivalent:
-    a vertex outside the set covers itself or not identically either way.
+    neighbourhoods are solved through their open-neighbourhood equivalent.
     """
-    g = inst.graph
-    n = g.n
-    if n == 0:
-        return _certified(inst, frozenset(), "empty-graph")
-    if inst.neighborhood is Neighborhood.CLOSED:
-        if inst.scope is Scope.PARTIAL:
-            open_inst = replace(inst, neighborhood=Neighborhood.OPEN)
-            inner = auto_solve(open_inst, cap)
-            certify(inst, inner.vertices, inner.method)
-            return inner
-        if n <= cap:
-            return brute_force_minimum(inst, cap)
-        return greedy_multiple_domination(inst)
-    partial = inst.scope is Scope.PARTIAL
-    if g.is_complete():
-        if partial:
-            return solve_complete_vector(g, inst.demands)
-        return solve_complete_total(g, inst.demands)
-    if partial and g.is_tree():
-        return solve_tree_vector(g, inst.demands)
-    if n <= _RECOGNITION_CAP:
-        if is_threshold(g):
-            if partial:
-                return solve_threshold_vector(g, inst.demands)
-            return solve_cograph(inst)
-        if is_cograph(g):
-            return solve_cograph(inst)
-    if n <= cap:
-        return brute_force_minimum(inst, cap)
-    if partial:
-        return greedy_vector_domination(inst)
-    return greedy_total_vector(inst)
+    return solve(inst, "auto", cap)

@@ -34,15 +34,15 @@ __all__ = [
 class Solution:
     """A solver's answer: the chosen vertices plus provenance metadata.
 
-    ``quality`` is ``optimal`` for exact solvers, ``approx`` for solvers
-    with a proven ratio (stored in ``bound``), and ``heuristic`` otherwise.
-    ``coarse_bound`` carries the degree-only form of the same guarantee
-    when one exists.
+    ``quality`` is ``optimal`` for exact solvers and ``approx`` for the
+    greedies, whose proven ratio is stored in ``bound``.  ``coarse_bound``
+    carries the degree-only form of the same guarantee when one exists.
+    A solver that cannot return a feasible set raises instead.
     """
 
     vertices: frozenset[int]
-    status: str  # "feasible" | "infeasible" | "unknown"
-    quality: str  # "optimal" | "approx" | "heuristic"
+    status: str  # "feasible"
+    quality: str  # "optimal" | "approx"
     method: str
     bound: float | None = None
     coarse_bound: float | None = None

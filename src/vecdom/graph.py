@@ -12,7 +12,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeError,
-    NotATreeError,
     OutOfRangeError,
     SelfLoopError,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "disjoint_union",
     "join",
     "induced_subgraph",
-    "reverse_bfs_order",
 ]
 
 
@@ -213,37 +211,3 @@ def _bfs_order(g: Graph, root: int) -> list[int]:
                 order.append(u)
                 queue.append(u)
     return order
-
-
-def reverse_bfs_order(g: Graph, root: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reverse breadth-first order of a tree, leaves first, root last.
-
-    Returns ``(order, parent)`` where ``parent[root] == root`` and every
-    other vertex points at its BFS predecessor.
-
-    Raises:
-        NotATreeError: the graph is disconnected or contains a cycle.
-        OutOfRangeError: the root id is invalid.
-    """
-    if not (0 <= root < g.n):
-        raise OutOfRangeError(f"root {root} is not a vertex")
-    if g.m != g.n - 1:
-        raise NotATreeError(f"a tree on {g.n} vertices has {g.n - 1} edges, got {g.m}")
-    parent = list(range(g.n))
-    seen = bytearray(g.n)
-    seen[root] = 1
-    order = [root]
-    queue = deque((root,))
-    adj = g._adj
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = 1
-                parent[u] = v
-                order.append(u)
-                queue.append(u)
-    if len(order) < g.n:
-        raise NotATreeError("graph is disconnected")
-    order.reverse()
-    return tuple(order), tuple(parent)

@@ -21,6 +21,7 @@ from .errors import (
 from .graph import Graph, build_graph
 
 __all__ = [
+    "MAX_VERTICES",
     "parse_graph",
     "write_graph",
     "parse_demands",
@@ -29,6 +30,9 @@ __all__ = [
     "write_vertex_set",
     "parse_alpha",
 ]
+
+# adjacency is allocated from the graph header, so its vertex count is capped
+MAX_VERTICES = 1_000_000
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -45,7 +49,8 @@ def parse_graph(text: str) -> Graph:
     """Read a graph: comments "c ...", one "p edge <n> <m>", then e-lines.
 
     Raises:
-        MalformedError: missing or repeated header, or an unreadable line.
+        MalformedError: missing or repeated header, an unreadable line, or
+            a header declaring more than ``MAX_VERTICES`` vertices.
         CountMismatchError: the header's edge count disagrees with the
             number of e-lines.
         OutOfRangeError, SelfLoopError, DuplicateEdgeError: bad edges.
@@ -66,6 +71,10 @@ def parse_graph(text: str) -> Graph:
                 raise MalformedError(f"line {number}: non-integer header field")
             if n < 0 or declared_m < 0:
                 raise MalformedError(f"line {number}: negative header field")
+            if n > MAX_VERTICES:
+                raise MalformedError(
+                    f"line {number}: {n} vertices exceed the limit of {MAX_VERTICES}"
+                )
         elif fields[0] == "e":
             if n is None:
                 raise MalformedError(f"line {number}: edge before the header")

@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .errors import (
     AlphaOutOfRangeError,
+    InfeasibleError,
     MissingParamError,
     NegativeDemandError,
     UnknownVariantError,
@@ -47,6 +48,7 @@ __all__ = [
     "variant_catalogue",
     "validate_instance",
     "demand_bound",
+    "reduce_forced",
 ]
 
 
@@ -137,13 +139,9 @@ class Instance:
                 raise NegativeDemandError(f"demand {k} at vertex {v} is negative")
 
 
-def _threshold_count(neighborhood: Neighborhood, degree: int) -> int:
-    return degree + 1 if neighborhood is Neighborhood.CLOSED else degree
-
-
 def demand_bound(neighborhood: Neighborhood, degree: int) -> int:
     """Largest demand a vertex of the given degree can definitionally meet."""
-    return _threshold_count(neighborhood, degree)
+    return degree + 1 if neighborhood is Neighborhood.CLOSED else degree
 
 
 def _compile_demand(
@@ -172,7 +170,7 @@ def compile_variant(g: Graph, spec: VariantSpec) -> Instance:
             _compile_demand(
                 spec.inequality,
                 t.alpha,
-                _threshold_count(spec.neighborhood, g.degree(v)),
+                demand_bound(spec.neighborhood, g.degree(v)),
             )
             for v in range(g.n)
         )
@@ -269,17 +267,44 @@ class InstanceDiagnostics:
     forced: tuple[int, ...]
     locally_infeasible: tuple[int, ...]
 
-    @property
-    def clean(self) -> bool:
-        return not self.forced and not self.locally_infeasible
+
+def _over_demanded(inst: Instance) -> list[int]:
+    """Vertices demanding more than their neighbourhood can ever supply."""
+    slack = 1 if inst.neighborhood is Neighborhood.CLOSED else 0
+    adj = inst.graph._adj
+    demands = inst.demands
+    return [v for v in range(len(adj)) if demands[v] > len(adj[v]) + slack]
+
+
+def reduce_forced(inst: Instance) -> tuple[list[int], Sequence[int]]:
+    """The forced vertices and the demands left once they are chosen.
+
+    Under partial scope every feasible set holds the over-demanded
+    vertices; each other demand drops by one per forced neighbour, never
+    below zero.  Under total scope nothing is forced, and the whole vertex
+    set is feasible unless some vertex is over-demanded.
+
+    Raises:
+        InfeasibleError: total scope and some vertex is over-demanded.
+    """
+    over = _over_demanded(inst)
+    if inst.scope is Scope.TOTAL:
+        if over:
+            v = over[0]
+            bound = demand_bound(inst.neighborhood, inst.graph.degree(v))
+            raise InfeasibleError(f"vertex {v} demands {inst.demands[v]} of {bound} neighbours")
+        return [], inst.demands
+    reduced = list(inst.demands)
+    adj = inst.graph._adj
+    for v in over:
+        for u in adj[v]:
+            if reduced[u]:
+                reduced[u] -= 1
+    return over, reduced
 
 
 def validate_instance(inst: Instance) -> InstanceDiagnostics:
-    over = [
-        v
-        for v in range(inst.graph.n)
-        if inst.demands[v] > demand_bound(inst.neighborhood, inst.graph.degree(v))
-    ]
+    over = tuple(_over_demanded(inst))
     if inst.scope is Scope.PARTIAL:
-        return InstanceDiagnostics(tuple(over), ())
-    return InstanceDiagnostics((), tuple(over))
+        return InstanceDiagnostics(over, ())
+    return InstanceDiagnostics((), over)

@@ -34,8 +34,11 @@ from vecdom import (
 from vecdom import approx, feasibility
 from vecdom.errors import (
     CertificationError,
+    DuplicateVertexError,
     InfeasibleError,
     MissingParamError,
+    OutOfRangeError,
+    VecdomError,
     WrongVariantError,
 )
 
@@ -326,6 +329,19 @@ def test_lazy_greedies_match_eager_reference() -> None:
 def test_multicover_length_mismatch_rejected() -> None:
     with pytest.raises(MissingParamError):
         MulticoverInstance(universe_size=2, family=((0, 1),), requirements=(1,))
+
+
+def test_multicover_set_repeating_an_element_rejected() -> None:
+    # a repeated element would count twice towards one requirement
+    with pytest.raises(DuplicateVertexError):
+        MulticoverInstance(1, ((0, 0),), (2,))
+
+
+def test_multicover_element_out_of_range_rejected() -> None:
+    for family in (((0, 5),), ((-1, 0),)):
+        with pytest.raises(OutOfRangeError) as caught:
+            MulticoverInstance(1, family, (1,))
+        assert isinstance(caught.value, VecdomError)
 
 
 def test_stalled_potential_raises_instead_of_index_error(monkeypatch) -> None:

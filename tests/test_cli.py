@@ -84,6 +84,21 @@ class TestSolve:
         assert record["size"] is None
         assert record["feasible"] is False
 
+    def test_infeasible_record_names_the_routed_solver(self, tmp_path, capsys) -> None:
+        # vertex 1 of the path 1-2-3 demands 2 but has one neighbour
+        gr = _write(tmp_path, "p3.gr", P3)
+        dem = _write(tmp_path, "two.dem", "1 2\n")
+        expected = {"auto": ("cograph", "optimal"), "greedy": ("greedy-total-vector", "approx")}
+        for method, (path, quality) in expected.items():
+            code = main([
+                "solve", gr, "--variant", "total-vector-domination",
+                "--demands", dem, "--method", method,
+            ])
+            assert code == EXIT_INFEASIBLE
+            record = _record(capsys)
+            assert record["solverPath"] == path
+            assert record["quality"] == quality
+
     def test_decimal_alpha_rejected(self, c4_file) -> None:
         code = main(["solve", c4_file, "--variant", "total-alpha-domination", "--alpha", "0.5"])
         assert code == EXIT_INPUT

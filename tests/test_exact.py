@@ -31,7 +31,6 @@ from vecdom import (
     solve_threshold_vector,
     solve_tree_vector,
     star_graph,
-    threshold_minimum_size,
 )
 from vecdom.errors import InfeasibleError, NotCompleteError, TooLargeError
 from vecdom.generators import random_demand_vector, random_gnp
@@ -248,9 +247,7 @@ class TestThresholdVector:
         inst = _partial_open(g, demands)
         sol = solve_threshold_vector(g, demands)
         assert is_feasible(inst, sol.vertices).feasible
-        optimum = len(brute_force_minimum(inst).vertices)
-        assert len(sol.vertices) == optimum
-        assert threshold_minimum_size(g, demands) == optimum
+        assert len(sol.vertices) == len(brute_force_minimum(inst).vertices)
 
 
 class TestAutoSolve:

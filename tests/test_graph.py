@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vecdom import (
-    NotATreeError,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -15,12 +14,11 @@ from vecdom import (
     induced_subgraph,
     join,
     path_graph,
-    reverse_bfs_order,
     star_graph,
 )
 from vecdom.errors import DuplicateEdgeError, OutOfRangeError, SelfLoopError
 
-from .strategies import PROPERTY_SETTINGS, graphs, trees
+from .strategies import PROPERTY_SETTINGS, graphs
 
 
 class TestBuildGraph:
@@ -97,41 +95,6 @@ class TestNamedFamilies:
         assert path_graph(6).is_tree()
         assert not cycle_graph(6).is_tree()
         assert not disjoint_union([path_graph(2), path_graph(2)])[0].is_tree()
-
-
-class TestReverseBfsOrder:
-    def test_path_rooted_at_end(self) -> None:
-        # path 0-1-2 rooted at 0: unique BFS, farthest vertex first
-        g = path_graph(3)
-        order, parent = reverse_bfs_order(g, root=0)
-        assert order == (2, 1, 0)
-        assert parent[2] == 1
-        assert parent[1] == 0
-
-    def test_star_root_last(self) -> None:
-        g = star_graph(3)
-        order, parent = reverse_bfs_order(g, root=0)
-        assert order[-1] == 0
-        assert set(order[:3]) == {1, 2, 3}
-        assert all(parent[leaf] == 0 for leaf in (1, 2, 3))
-
-    def test_cycle_rejected(self) -> None:
-        with pytest.raises(NotATreeError):
-            reverse_bfs_order(complete_graph(3), root=0)
-
-    def test_disconnected_rejected(self) -> None:
-        g, _ = disjoint_union([path_graph(2), path_graph(2)])
-        with pytest.raises(NotATreeError):
-            reverse_bfs_order(g, root=0)
-
-    @given(trees(min_n=2))
-    @PROPERTY_SETTINGS
-    def test_children_precede_parents(self, g) -> None:
-        order, parent = reverse_bfs_order(g, root=0)
-        assert sorted(order) == list(range(g.n))
-        position = {v: i for i, v in enumerate(order)}
-        for v in range(1, g.n):
-            assert position[v] < position[parent[v]]
 
 
 class TestDisjointUnion:

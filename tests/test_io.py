@@ -16,7 +16,9 @@ from vecdom.errors import (
     OutOfRangeError,
     SelfLoopError,
 )
+from vecdom.cli import EXIT_INPUT, main
 from vecdom.io import (
+    MAX_VERTICES,
     parse_alpha,
     parse_demands,
     parse_graph,
@@ -57,6 +59,20 @@ class TestParseGraph:
         ):
             with pytest.raises(MalformedError):
                 parse_graph(text)
+
+    def test_oversized_header_rejected_before_allocation(self, tmp_path) -> None:
+        # adjacency is allocated from the header: 10^11 lists would exhaust memory
+        text = "p edge 99999999999 0\n"
+        with pytest.raises(MalformedError):
+            parse_graph(text)
+        path = tmp_path / "huge.gr"
+        path.write_text(text)
+        assert main(["solve", str(path), "--variant", "k-domination", "--k", "1"]) == EXIT_INPUT
+
+    def test_vertex_limit_covers_a_million_vertices(self) -> None:
+        assert MAX_VERTICES >= 10**6
+        with pytest.raises(MalformedError):
+            parse_graph(f"p edge {MAX_VERTICES + 1} 0\n")
 
     def test_vertex_zero_rejected_in_one_based_format(self) -> None:
         with pytest.raises(OutOfRangeError):
