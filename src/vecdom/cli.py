@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -147,18 +146,8 @@ def _build_gadget(args: argparse.Namespace) -> GadgetOutput:
     alpha = parse_alpha(args.alpha)
     if name == "alpha":
         return gadget_alpha_domination(g, alpha, args.multiplier)
-    factor = args.block_factor
-    if factor is None:
-        factor = max(math.ceil(alpha / (1 - alpha)), 1) if alpha < 1 else 1
-    per_block = args.copies_per_block
-    blocks = args.blocks
-    if blocks is None:
-        # smallest block count the construction's gate accepts
-        doubled = 2 if name == "total-alpha" else 1
-        blocks = max(math.ceil(doubled * alpha * per_block / ((1 - alpha) * factor)), 1)
-    if name == "total-alpha":
-        return gadget_total_alpha(g, alpha, blocks, per_block, factor)
-    return gadget_alpha_rate(g, alpha, blocks, per_block, factor)
+    build = gadget_total_alpha if name == "total-alpha" else gadget_alpha_rate
+    return build(g, alpha, args.blocks, args.copies_per_block, args.block_factor)
 
 
 def _claim_record(out: GadgetOutput) -> dict:
@@ -220,6 +209,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = tuple(int(part) for part in args.sizes.split(",") if part)
     except ValueError:
         raise MalformedError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+    if any(size < 1 for size in sizes):
+        raise MalformedError(f"--sizes must all be at least 1, got {args.sizes!r}")
     config = BenchConfig(
         family=args.family,
         sizes=sizes,

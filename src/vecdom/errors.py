@@ -83,6 +83,10 @@ class GadgetError(VecdomError):
     """Base class for gadget construction errors."""
 
 
+class GadgetParameterError(GadgetError, ValueError):
+    """A count that parameterizes a construction is below one."""
+
+
 class IsolatedVertexError(GadgetError):
     """The base graph has an isolated vertex the construction cannot serve."""
 

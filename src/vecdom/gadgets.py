@@ -9,9 +9,10 @@ feeds the construction's own upper-bound witness through the feasibility
 checker.
 
 Per-vertex attachment demands follow the shared pattern: glue ``k_v`` extra
-neighbours onto a vertex of degree ``d`` so that the fraction of chosen
-neighbours it ends up with brackets the target ratio exactly.  Both
-bracketing inequalities are asserted with exact rationals at build time.
+neighbours onto a vertex whose neighbourhood holds ``s`` vertices so that
+the fraction of chosen neighbours it ends up with brackets the target
+ratio exactly.  Both bracketing inequalities are asserted with exact
+rationals at build time.
 """
 
 from __future__ import annotations
@@ -19,17 +20,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
 
 from .errors import (
     AlphaOutOfRangeError,
     BlockTooSmallError,
     FeasibilityConditionViolatedError,
+    GadgetParameterError,
     IsolatedVertexError,
 )
 from .exact import DEFAULT_ORACLE_CAP, brute_force_minimum
-from .feasibility import is_feasible
+from .feasibility import Solution, is_feasible
 from .graph import Graph, build_graph, complete_graph, disjoint_union, join
-from .variants import compile_variant, named_variant
+from .variants import Neighborhood, compile_variant, demand_bound, named_variant
 
 __all__ = [
     "SandwichClaim",
@@ -104,24 +108,58 @@ def _reject_isolated(g: Graph) -> None:
             raise IsolatedVertexError(f"vertex {v} is isolated")
 
 
-def _open_attachment_demand(alpha: Fraction, d: int) -> int:
-    k = math.ceil((alpha * d - 1) / (1 - alpha)) if d >= 2 else 0
+def _require_positive(**counts: int | None) -> None:
+    """Reject a count below one; ``None`` leaves it to its default."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise GadgetParameterError(f"{name} must be at least 1, got {value}")
+
+
+def _default_factor(alpha: Fraction) -> int:
+    """Pool multiplier and block factor unless given: ceil(alpha/(1-alpha))."""
+    return math.ceil(alpha / (1 - alpha))
+
+
+def _attachment_demand(alpha: Fraction, size: int) -> int:
+    """Extra neighbours for a neighbourhood of ``size`` vertices.
+
+    ``size`` is the degree, or the degree + 1 when neighbourhoods are
+    closed.  With ``k`` extra neighbours the vertex needs exactly one
+    chosen neighbour beyond them.
+    """
+    k = math.ceil((alpha * size - 1) / (1 - alpha)) if size >= 2 else 0
     # both sides are identities of the ceiling; checked exactly
-    assert Fraction(k, d + k) < alpha <= Fraction(k + 1, d + k)
+    assert Fraction(k, size + k) < alpha <= Fraction(k + 1, size + k)
     return k
 
 
-def _closed_attachment_demand(alpha: Fraction, d: int) -> int:
-    k = math.ceil((alpha * (d + 1) - 1) / (1 - alpha))
-    assert k >= 0
-    assert Fraction(k, d + k + 1) < alpha <= Fraction(k + 1, d + k + 1)
-    return k
+def _attachment_demands(g: Graph, alpha: Fraction, nbhd: Neighborhood) -> tuple[int, ...]:
+    return tuple(_attachment_demand(alpha, demand_bound(nbhd, g.degree(v))) for v in range(g.n))
+
+
+def _attach(
+    demands: tuple[int, ...], offsets: Sequence[int], start: int, size: int
+) -> list[tuple[int, int]]:
+    """Glue the copies at ``offsets`` round-robin onto ``start .. start+size-1``.
+
+    Each copy of ``v`` gets ``demands[v]`` distinct neighbours there, and
+    the rotation spreads the load evenly over the block.
+    """
+    top = max(demands, default=0)
+    if top > size:
+        raise BlockTooSmallError(f"attachment demand {top} exceeds the block size {size}")
+    edges = []
+    p = 0
+    for off in offsets:
+        for v, kv in enumerate(demands):
+            edges.extend((off + v, start + (p + t) % size) for t in range(kv))
+            p += kv
+    return edges
 
 
 def gadget_replicate(g: Graph, copies: int) -> GadgetOutput:
     """Disjoint copies of the graph; the optimum scales by the copy count."""
-    if copies < 1:
-        raise ValueError("need at least one copy")
+    _require_positive(copies=copies)
     gprime, maps = disjoint_union([g] * copies)
     embeddings = tuple(tuple(mp[v] for v in range(g.n)) for mp in maps)
     claim = SandwichClaim(
@@ -155,20 +193,12 @@ def gadget_alpha_domination(
     """
     a = _validated_alpha(alpha)
     _reject_isolated(g)
-    mult = multiplier if multiplier is not None else math.ceil(a / (1 - a))
-    if mult < 1:
-        raise ValueError("the pool multiplier must be positive")
+    _require_positive(multiplier=multiplier)
+    mult = multiplier if multiplier is not None else _default_factor(a)
     pool_size = mult * g.max_degree()
-    demands = tuple(_open_attachment_demand(a, g.degree(v)) for v in range(g.n))
-    for kv in demands:
-        assert kv < pool_size, "a demand reached the whole pool"
+    demands = _attachment_demands(g, a, Neighborhood.OPEN)
     n = g.n
-    edges = list(g.edges())
-    ptr = 0
-    for v in range(n):
-        for t in range(demands[v]):
-            edges.append((v, n + (ptr + t) % pool_size))
-        ptr += demands[v]
+    edges = list(g.edges()) + _attach(demands, (0,), n, pool_size)
     gprime = build_graph(n + pool_size, edges)
     claim = SandwichClaim(
         base_variant="domination",
@@ -189,62 +219,78 @@ def gadget_alpha_domination(
     )
 
 
+# construction -> (neighbourhoods, base variant, middle variant); the clique
+# gate is twice as strict for open neighbourhoods as for closed ones
+_CLIQUE_GADGETS = {
+    "total-alpha": (Neighborhood.OPEN, "total-domination", "total-alpha-domination"),
+    "alpha-rate": (Neighborhood.CLOSED, "domination", "alpha-rate-domination"),
+}
+
+
 def _copies_plus_clique(
+    construction: str,
     g: Graph,
-    demands: tuple[int, ...],
-    blocks: int,
+    alpha: Fraction | int | str,
+    blocks: int | None,
     copies_per_block: int,
-    block_factor: int,
-) -> tuple[Graph, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    block_factor: int | None,
+) -> GadgetOutput:
     """Shared body: many copies of g wired into a blocked clique.
 
     Block ``b`` of the clique serves the ``copies_per_block`` copies with
     index ``j // copies_per_block == b``; attachment edges rotate through
     the block so no clique vertex is overloaded.
     """
-    n = g.n
-    block_size = block_factor * copies_per_block
-    top = max(demands, default=0)
-    if top > block_size:
-        raise BlockTooSmallError(
-            f"attachment demand {top} exceeds the block size {block_size}"
-        )
-    copies = blocks * copies_per_block
-    clique_start = copies * n
-    clique_size = block_factor * blocks * copies_per_block
-    base_edges = list(g.edges())
-    edges: list[tuple[int, int]] = []
-    embeddings = []
-    for j in range(copies):
-        off = j * n
-        embeddings.append(tuple(off + v for v in range(n)))
-        edges.extend((off + u, off + v) for u, v in base_edges)
-    clique_end = clique_start + clique_size
-    edges.extend(
-        (u, v)
-        for u in range(clique_start, clique_end)
-        for v in range(u + 1, clique_end)
+    nbhd, base_variant, middle_variant = _CLIQUE_GADGETS[construction]
+    a = _validated_alpha(alpha)
+    _reject_isolated(g)
+    _require_positive(
+        blocks=blocks, copies_per_block=copies_per_block, block_factor=block_factor
     )
-    rotation = [0] * blocks
-    for j in range(copies):
-        b = j // copies_per_block
-        block_base = clique_start + b * block_size
-        off = j * n
-        for v in range(n):
-            kv = demands[v]
-            p = rotation[b]
-            for t in range(kv):
-                edges.append((off + v, block_base + (p + t) % block_size))
-            rotation[b] = p + kv
-    gprime = build_graph(copies * n + clique_size, edges)
-    attachment = tuple(range(clique_start, clique_end))
-    return gprime, tuple(embeddings), attachment
+    bf = block_factor if block_factor is not None else _default_factor(a)
+    gate = 2 if nbhd is Neighborhood.OPEN else 1
+    need = gate * a * copies_per_block / ((1 - a) * bf)
+    if blocks is None:
+        blocks = math.ceil(need)
+    elif blocks < need:
+        raise FeasibilityConditionViolatedError(
+            f"the clique cannot absorb its copies: need blocks >= {need}, got {blocks}"
+        )
+    demands = _attachment_demands(g, a, nbhd)
+    block_size = bf * copies_per_block
+    n = g.n
+    offsets = [j * n for j in range(blocks * copies_per_block)]
+    clique_start = len(offsets) * n
+    clique_end = clique_start + block_size * blocks
+    edges = [(off + u, off + v) for off in offsets for u, v in g.edges()]
+    edges += combinations(range(clique_start, clique_end), 2)
+    for b in range(blocks):
+        served = offsets[b * copies_per_block : (b + 1) * copies_per_block]
+        edges += _attach(demands, served, clique_start + b * block_size, block_size)
+    gprime = build_graph(clique_end, edges)
+    claim = SandwichClaim(
+        base_variant=base_variant,
+        middle_variant=middle_variant,
+        alpha=a,
+        k=None,
+        lower=(len(offsets), 0),
+        upper=(len(offsets), clique_end - clique_start),
+    )
+    return GadgetOutput(
+        construction=construction,
+        base=g,
+        gprime=gprime,
+        embeddings=tuple(tuple(range(off, off + n)) for off in offsets),
+        attachment_demands=demands,
+        attachment_vertices=tuple(range(clique_start, clique_end)),
+        claim=claim,
+    )
 
 
 def gadget_total_alpha(
     g: Graph,
     alpha: Fraction | int | str,
-    blocks: int,
+    blocks: int | None,
     copies_per_block: int,
     block_factor: int | None = None,
 ) -> GadgetOutput:
@@ -255,48 +301,16 @@ def gadget_total_alpha(
     equal blocks (block_factor defaults to ceil(alpha/(1-alpha))).  The
     clique must be big enough relative to the copies it absorbs:
     blocks >= 2*alpha*copies_per_block / ((1-alpha)*block_factor), checked
-    exactly.  Claim: copies*base <= middle <= copies*base + clique size.
+    exactly; ``blocks=None`` takes the smallest such count.  Claim:
+    copies*base <= middle <= copies*base + clique size.
     """
-    a = _validated_alpha(alpha)
-    _reject_isolated(g)
-    if blocks < 1 or copies_per_block < 1:
-        raise ValueError("blocks and copies_per_block must be positive")
-    bf = block_factor if block_factor is not None else math.ceil(a / (1 - a))
-    if bf < 1:
-        raise ValueError("the block factor must be positive")
-    if 2 * a * copies_per_block > (1 - a) * bf * blocks:
-        raise FeasibilityConditionViolatedError(
-            "the clique cannot absorb its copies: need "
-            f"blocks >= {2 * a * copies_per_block / ((1 - a) * bf)}, got {blocks}"
-        )
-    demands = tuple(_open_attachment_demand(a, g.degree(v)) for v in range(g.n))
-    gprime, embeddings, attachment = _copies_plus_clique(
-        g, demands, blocks, copies_per_block, bf
-    )
-    copies = blocks * copies_per_block
-    claim = SandwichClaim(
-        base_variant="total-domination",
-        middle_variant="total-alpha-domination",
-        alpha=a,
-        k=None,
-        lower=(copies, 0),
-        upper=(copies, len(attachment)),
-    )
-    return GadgetOutput(
-        construction="total-alpha",
-        base=g,
-        gprime=gprime,
-        embeddings=embeddings,
-        attachment_demands=demands,
-        attachment_vertices=attachment,
-        claim=claim,
-    )
+    return _copies_plus_clique("total-alpha", g, alpha, blocks, copies_per_block, block_factor)
 
 
 def gadget_alpha_rate(
     g: Graph,
     alpha: Fraction | int | str,
-    blocks: int,
+    blocks: int | None,
     copies_per_block: int,
     block_factor: int | None = None,
 ) -> GadgetOutput:
@@ -307,40 +321,7 @@ def gadget_alpha_rate(
     blocks >= alpha*copies_per_block / ((1-alpha)*block_factor); the base
     quantity is plain domination.
     """
-    a = _validated_alpha(alpha)
-    _reject_isolated(g)
-    if blocks < 1 or copies_per_block < 1:
-        raise ValueError("blocks and copies_per_block must be positive")
-    bf = block_factor if block_factor is not None else math.ceil(a / (1 - a))
-    if bf < 1:
-        raise ValueError("the block factor must be positive")
-    if a * copies_per_block > (1 - a) * bf * blocks:
-        raise FeasibilityConditionViolatedError(
-            "the clique cannot absorb its copies: need "
-            f"blocks >= {a * copies_per_block / ((1 - a) * bf)}, got {blocks}"
-        )
-    demands = tuple(_closed_attachment_demand(a, g.degree(v)) for v in range(g.n))
-    gprime, embeddings, attachment = _copies_plus_clique(
-        g, demands, blocks, copies_per_block, bf
-    )
-    copies = blocks * copies_per_block
-    claim = SandwichClaim(
-        base_variant="domination",
-        middle_variant="alpha-rate-domination",
-        alpha=a,
-        k=None,
-        lower=(copies, 0),
-        upper=(copies, len(attachment)),
-    )
-    return GadgetOutput(
-        construction="alpha-rate",
-        base=g,
-        gprime=gprime,
-        embeddings=embeddings,
-        attachment_demands=demands,
-        attachment_vertices=attachment,
-        claim=claim,
-    )
+    return _copies_plus_clique("alpha-rate", g, alpha, blocks, copies_per_block, block_factor)
 
 
 def gadget_k_domination(g: Graph, k: int) -> GadgetOutput:
@@ -350,8 +331,7 @@ def gadget_k_domination(g: Graph, k: int) -> GadgetOutput:
     dominating set of the base plus the whole clique k-dominates the
     result.  Upper bound only: middle <= base + k - 1.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _require_positive(k=k)
     gprime = join(g, complete_graph(k - 1))
     claim = SandwichClaim(
         base_variant="domination",
@@ -372,19 +352,25 @@ def gadget_k_domination(g: Graph, k: int) -> GadgetOutput:
     )
 
 
+def _base_optimum(out: GadgetOutput, cap: int) -> Solution:
+    base_inst = compile_variant(out.base, named_variant(out.claim.base_variant))
+    return brute_force_minimum(base_inst, cap)
+
+
+def _embedded(out: GadgetOutput, base_vertices: frozenset[int]) -> frozenset[int]:
+    members = set(out.attachment_vertices)
+    for emb in out.embeddings:
+        members.update(emb[v] for v in base_vertices)
+    return frozenset(members)
+
+
 def upper_witness(out: GadgetOutput, cap: int = DEFAULT_ORACLE_CAP) -> frozenset[int]:
     """The feasible set each construction's upper bound is built from.
 
     Always the attachment vertices plus an optimal base solution embedded
     into every copy.
     """
-    base_spec = named_variant(out.claim.base_variant)
-    base_inst = compile_variant(out.base, base_spec)
-    base_opt = brute_force_minimum(base_inst, cap)
-    members = set(out.attachment_vertices)
-    for emb in out.embeddings:
-        members.update(emb[v] for v in base_opt.vertices)
-    return frozenset(members)
+    return _embedded(out, _base_optimum(out, cap).vertices)
 
 
 def verify_sandwich(out: GadgetOutput, cap: int = DEFAULT_ORACLE_CAP) -> SandwichReport:
@@ -397,19 +383,18 @@ def verify_sandwich(out: GadgetOutput, cap: int = DEFAULT_ORACLE_CAP) -> Sandwic
         TooLargeError: either graph exceeds the oracle cap.
     """
     claim = out.claim
-    base_inst = compile_variant(out.base, named_variant(claim.base_variant))
-    base_size = brute_force_minimum(base_inst, cap).size
+    base = _base_optimum(out, cap)
     middle_spec = named_variant(claim.middle_variant, alpha=claim.alpha, k=claim.k)
     middle_inst = compile_variant(out.gprime, middle_spec)
     middle_size = brute_force_minimum(middle_inst, cap).size
     lower = None
     if claim.lower is not None:
         coeff, offset = claim.lower
-        lower = coeff * base_size + offset
+        lower = coeff * base.size + offset
     coeff, offset = claim.upper
-    upper = coeff * base_size + offset
+    upper = coeff * base.size + offset
     passed = (lower is None or lower <= middle_size) and middle_size <= upper
-    witness = upper_witness(out, cap)
+    witness = _embedded(out, base.vertices)
     feasible = is_feasible(middle_inst, witness).feasible
     return SandwichReport(
         lower=lower,

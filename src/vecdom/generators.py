@@ -10,13 +10,7 @@ import random
 from itertools import product
 from typing import Iterator, Sequence
 
-from .graph import (
-    Graph,
-    _graph_from_sorted_adjacency,
-    build_graph,
-    disjoint_union,
-    join,
-)
+from .graph import Graph, build_graph, disjoint_union, join
 
 __all__ = [
     "prufer_to_tree",
@@ -66,7 +60,7 @@ def prufer_to_tree(n: int, seq: Sequence[int]) -> Graph:
     adj[n - 1].append(leaf)
     for row in adj:
         row.sort()
-    return _graph_from_sorted_adjacency(adj, n - 1)
+    return Graph(tuple(tuple(row) for row in adj), n - 1)
 
 
 def all_labeled_trees(n: int) -> Iterator[Graph]:
@@ -82,16 +76,16 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return prufer_to_tree(n, seq)
 
 
-def random_cograph(n: int, rng: random.Random, join_bias: float = 0.5) -> Graph:
+def random_cograph(n: int, rng: random.Random) -> Graph:
     """Random cograph built bottom-up from singletons by unions and joins."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if n == 1:
         return build_graph(1, [])
     split = rng.randint(1, n - 1)
-    left = random_cograph(split, rng, join_bias)
-    right = random_cograph(n - split, rng, join_bias)
-    if rng.random() < join_bias:
+    left = random_cograph(split, rng)
+    right = random_cograph(n - split, rng)
+    if rng.random() < 0.5:
         return join(left, right)
     combined, _ = disjoint_union([left, right])
     return combined
@@ -113,10 +107,10 @@ def threshold_graph(dominating: Sequence[bool]) -> Graph:
     return build_graph(n, edges)
 
 
-def random_threshold(n: int, rng: random.Random, dom_bias: float = 0.5) -> Graph:
+def random_threshold(n: int, rng: random.Random) -> Graph:
     if n < 1:
         raise ValueError("need at least one vertex")
-    return threshold_graph([rng.random() < dom_bias for _ in range(n - 1)])
+    return threshold_graph([rng.random() < 0.5 for _ in range(n - 1)])
 
 
 def random_gnp(n: int, p: float, rng: random.Random) -> Graph:

@@ -120,11 +120,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(tuple(tuple(row) for row in adj), m)
 
 
-def _graph_from_sorted_adjacency(adj: Sequence[Sequence[int]], m: int) -> Graph:
-    """Fast path for callers that construct valid sorted adjacency directly."""
-    return Graph(tuple(tuple(row) for row in adj), m)
-
-
 def complete_graph(n: int) -> Graph:
     adj = tuple(tuple(u for u in range(n) if u != v) for v in range(n))
     return Graph(adj, n * (n - 1) // 2)

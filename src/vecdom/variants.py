@@ -42,11 +42,9 @@ __all__ = [
     "ExplicitThreshold",
     "VariantSpec",
     "Instance",
-    "InstanceDiagnostics",
     "compile_variant",
     "named_variant",
     "variant_catalogue",
-    "validate_instance",
     "demand_bound",
     "reduce_forced",
 ]
@@ -256,26 +254,6 @@ def named_variant(
     return VariantSpec(neighborhood, scope, inequality, threshold)
 
 
-@dataclass(frozen=True)
-class InstanceDiagnostics:
-    """Vertices whose demand exceeds what their degree can ever supply.
-
-    Under partial scope such a vertex simply has to be picked (``forced``);
-    under total scope no set can satisfy it (``locally_infeasible``).
-    """
-
-    forced: tuple[int, ...]
-    locally_infeasible: tuple[int, ...]
-
-
-def _over_demanded(inst: Instance) -> list[int]:
-    """Vertices demanding more than their neighbourhood can ever supply."""
-    slack = 1 if inst.neighborhood is Neighborhood.CLOSED else 0
-    adj = inst.graph._adj
-    demands = inst.demands
-    return [v for v in range(len(adj)) if demands[v] > len(adj[v]) + slack]
-
-
 def reduce_forced(inst: Instance) -> tuple[list[int], Sequence[int]]:
     """The forced vertices and the demands left once they are chosen.
 
@@ -287,24 +265,20 @@ def reduce_forced(inst: Instance) -> tuple[list[int], Sequence[int]]:
     Raises:
         InfeasibleError: total scope and some vertex is over-demanded.
     """
-    over = _over_demanded(inst)
+    # over-demanded: more than the neighbourhood can ever supply
+    slack = 1 if inst.neighborhood is Neighborhood.CLOSED else 0
+    adj = inst.graph._adj
+    demands = inst.demands
+    over = [v for v in range(len(adj)) if demands[v] > len(adj[v]) + slack]
     if inst.scope is Scope.TOTAL:
         if over:
             v = over[0]
             bound = demand_bound(inst.neighborhood, inst.graph.degree(v))
-            raise InfeasibleError(f"vertex {v} demands {inst.demands[v]} of {bound} neighbours")
-        return [], inst.demands
-    reduced = list(inst.demands)
-    adj = inst.graph._adj
+            raise InfeasibleError(f"vertex {v} demands {demands[v]} of {bound} neighbours")
+        return [], demands
+    reduced = list(demands)
     for v in over:
         for u in adj[v]:
             if reduced[u]:
                 reduced[u] -= 1
     return over, reduced
-
-
-def validate_instance(inst: Instance) -> InstanceDiagnostics:
-    over = tuple(_over_demanded(inst))
-    if inst.scope is Scope.PARTIAL:
-        return InstanceDiagnostics(over, ())
-    return InstanceDiagnostics((), over)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import vecdom
 from vecdom import feasibility
 from vecdom.cli import (
     EXIT_CERTIFICATION,
@@ -199,6 +202,71 @@ class TestGadget:
             "--block-factor", "1",
         ])
         assert code == EXIT_INPUT
+
+
+# argument errors: each exits 2 with a single error line, never a traceback
+ARGUMENT_ERRORS = {
+    "copies 0": ["gadget", "C4", "--construction", "replicate", "--copies", "0"],
+    "k 0": ["gadget", "C4", "--construction", "k-dom", "--k", "0"],
+    "multiplier 0": ["gadget", "C4", "--construction", "alpha", "--alpha", "1/2", "--multiplier", "0"],
+    "demand above the pool": [
+        "gadget", "STAR", "--construction", "alpha", "--alpha", "3/4", "--multiplier", "1",
+    ],
+    **{
+        f"{construction} {flag} 0": [
+            "gadget", "C4", "--construction", construction, "--alpha", "1/2", flag, "0",
+        ]
+        for construction in ("total-alpha", "alpha-rate")
+        for flag in ("--blocks", "--copies-per-block", "--block-factor")
+    },
+    **{
+        f"{construction} alpha 1/1": ["gadget", "C4", "--construction", construction, "--alpha", "1/1"]
+        for construction in ("total-alpha", "alpha-rate")
+    },
+    **{
+        f"bench {family} size 0": ["bench", "--family", family, "--sizes", "0", "--reps", "1"]
+        for family in ("trees", "cographs", "threshold", "gnp")
+    },
+}
+
+
+def _graph_files(tmp_path: Path) -> dict[str, str]:
+    return {"C4": _write(tmp_path, "c4.gr", C4), "STAR": _write(tmp_path, "star.gr", STAR)}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_ERRORS))
+def test_argument_error_exits_two(case, tmp_path, capsys) -> None:
+    files = _graph_files(tmp_path)
+    argv = [files.get(arg, arg) for arg in ARGUMENT_ERRORS[case]]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "alpha, code", [("2/3", EXIT_OK), ("3/4", EXIT_INPUT)]
+)
+def test_pool_gadget_same_under_optimize_flag(alpha, code, tmp_path, capsys) -> None:
+    # the pool check used to be an assert, which -O strips
+    argv = ["gadget", _graph_files(tmp_path)["STAR"], "--construction", "alpha",
+            "--alpha", alpha, "--multiplier", "1"]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    src = Path(vecdom.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "vecdom.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == code
+    assert done.stdout == expected.out
+    assert done.stderr == expected.err
+    assert "Traceback" not in done.stderr
 
 
 class TestBench:

@@ -1,4 +1,4 @@
-"""Variant catalogue, demand compilation, and instance validation."""
+"""Variant catalogue and demand compilation."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from vecdom import (
     cycle_graph,
     named_variant,
     path_graph,
-    validate_instance,
     variant_catalogue,
 )
 from vecdom.errors import (
@@ -196,32 +195,3 @@ class TestNamedVariant:
         assert named_variant("alpha", alpha=Fraction(1, 3)) == named_variant(
             "alpha-domination", alpha=Fraction(1, 3)
         )
-
-
-class TestValidate:
-    def test_clean_instance(self) -> None:
-        inst = compile_variant(path_graph(2), named_variant("vector-domination", demands=(1, 1)))
-        diag = validate_instance(inst)
-        assert diag.forced == ()
-        assert diag.locally_infeasible == ()
-
-    def test_partial_excess_is_forced(self) -> None:
-        inst = compile_variant(path_graph(2), named_variant("vector-domination", demands=(2, 0)))
-        diag = validate_instance(inst)
-        assert diag.forced == (0,)
-        assert diag.locally_infeasible == ()
-
-    def test_total_excess_is_locally_infeasible(self) -> None:
-        inst = compile_variant(
-            path_graph(2), named_variant("total-vector-domination", demands=(2, 0))
-        )
-        diag = validate_instance(inst)
-        assert diag.forced == ()
-        assert diag.locally_infeasible == (0,)
-
-    def test_closed_total_allows_degree_plus_one(self) -> None:
-        inst = compile_variant(
-            path_graph(2), named_variant("multiple-domination", demands=(2, 2))
-        )
-        diag = validate_instance(inst)
-        assert diag.locally_infeasible == ()
