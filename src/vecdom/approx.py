@@ -113,17 +113,23 @@ def greedy_multicover(mc: MulticoverInstance) -> tuple[int, ...]:
         InfeasibleError: some element appears in fewer sets than required,
             or no set still covers an element with unmet requirement.
     """
-    membership = [0] * mc.universe_size
-    for s in mc.family:
+    return _multicover(mc.family, mc.requirements)
+
+
+def _multicover(
+    family: Sequence[Sequence[int]], requirements: Sequence[int]
+) -> tuple[int, ...]:
+    """:func:`greedy_multicover` on a family already known to be well formed."""
+    membership = [0] * len(requirements)
+    for s in family:
         for u in s:
             membership[u] += 1
-    for u, req in enumerate(mc.requirements):
+    for u, req in enumerate(requirements):
         if req > membership[u]:
             raise InfeasibleError(
                 f"element {u} needs {req} sets but appears in only {membership[u]}"
             )
-    family = mc.family
-    remaining = list(mc.requirements)
+    remaining = list(requirements)
     outstanding = sum(remaining)
     if outstanding == 0:
         return ()
@@ -209,7 +215,8 @@ def greedy_solution(inst: Instance, forced: Sequence[int]) -> Solution:
         if inst.neighborhood is Neighborhood.CLOSED:
             family = tuple(tuple(sorted(row + (v,))) for v, row in enumerate(family))
             largest += 1
-        picks = greedy_multicover(MulticoverInstance(g.n, family, demands))
+        # Graph rows are in range and duplicate-free: nothing to validate
+        picks = _multicover(family, demands)
         bound = _harmonic_style_bound(largest)
         return Solution(frozenset(picks), "feasible", "approx", method, bound)
     state = CoverageState(inst)

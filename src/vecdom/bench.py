@@ -13,6 +13,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
+from .errors import MalformedError
 from .exact import DEFAULT_ORACLE_CAP, brute_force_minimum, solve
 from .feasibility import Solution
 from .generators import (
@@ -106,7 +107,12 @@ def bench_suite(config: BenchConfig) -> BenchReport:
     When the graph fits under the oracle cap, the cell also reports the
     solver-to-optimal size ratio (1.0 for the exact solvers, by
     construction, so the interesting values come from the greedy).
+
+    Raises:
+        MalformedError: some size is below 1.
     """
+    if any(size < 1 for size in config.sizes):
+        raise MalformedError(f"sizes must all be at least 1, got {config.sizes}")
     cells = []
     for size in config.sizes:
         inst = _build_cell_instance(config, size)

@@ -209,8 +209,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = tuple(int(part) for part in args.sizes.split(",") if part)
     except ValueError:
         raise MalformedError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    if any(size < 1 for size in sizes):
-        raise MalformedError(f"--sizes must all be at least 1, got {args.sizes!r}")
     config = BenchConfig(
         family=args.family,
         sizes=sizes,

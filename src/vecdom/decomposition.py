@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import NotCographError, NotThresholdError
 from .graph import Graph
@@ -19,17 +17,6 @@ __all__ = [
     "threshold_elimination_order",
     "is_threshold",
 ]
-
-
-@contextmanager
-def deep_recursion(depth: int) -> Iterator[None]:
-    """Temporarily raise the recursion limit for deep decompositions."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, depth))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 @dataclass(frozen=True)
@@ -61,9 +48,11 @@ class CotreeNode:
         return self.vertices[0]
 
 
-def _components_within(g: Graph, verts: list[int]) -> list[list[int]]:
-    """Connected components of the subgraph induced by ``verts``."""
-    inside = set(verts)
+def _components_within(g: Graph, verts: list[int], complement: bool) -> list[list[int]]:
+    """Components of the subgraph induced by ascending ``verts``, or of its complement.
+
+    Each is sorted, and they come in order of smallest vertex.
+    """
     unseen = set(verts)
     comps: list[list[int]] = []
     for start in verts:
@@ -73,39 +62,14 @@ def _components_within(g: Graph, verts: list[int]) -> list[list[int]]:
         comp = [start]
         stack = [start]
         while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u in unseen:
-                    unseen.discard(u)
-                    comp.append(u)
-                    stack.append(u)
-        comp.sort()
-        comps.append(comp)
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
-def _co_components_within(g: Graph, verts: list[int]) -> list[list[int]]:
-    """Connected components of the complement, restricted to ``verts``."""
-    unseen = set(verts)
-    comps: list[list[int]] = []
-    for start in verts:
-        if start not in unseen:
-            continue
-        unseen.discard(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            # complement neighbours: everything unseen except real neighbours
-            nxt = unseen.difference(g.neighbors(v))
+            nbrs = g.neighbors(stack.pop())
+            nxt = unseen.difference(nbrs) if complement else unseen.intersection(nbrs)
             if nxt:
-                unseen.difference_update(nxt)
+                unseen -= nxt
                 comp.extend(nxt)
                 stack.extend(nxt)
         comp.sort()
         comps.append(comp)
-    comps.sort(key=lambda c: c[0])
     return comps
 
 
@@ -118,37 +82,50 @@ def build_modified_cotree(g: Graph) -> CotreeNode:
     into binary nodes, peeling one part at a time in ascending order of
     smallest vertex id; unions keep all parts as siblings.
 
+    The splits run depth first on an explicit stack, and the nodes are
+    built bottom-up after them, so no depth meets the recursion limit.
+
     Raises:
         NotCographError: some induced subgraph with at least two vertices
-            is connected and has a connected complement.
+            is connected and has a connected complement; the first one the
+            depth-first split meets is named.
     """
     if g.n == 0:
         raise NotCographError("cannot decompose the empty graph")
-
-    def decompose(verts: list[int]) -> CotreeNode:
+    splits: list[tuple[list[int], str, list[list[int]]]] = []  # depth-first preorder
+    stack = [list(g.vertices())]
+    while stack:
+        verts = stack.pop()
         if len(verts) == 1:
-            return CotreeNode("leaf", (verts[0],))
-        comps = _components_within(g, verts)
-        if len(comps) > 1:
-            return CotreeNode(
-                "union", tuple(verts), tuple(decompose(c) for c in comps)
-            )
-        cocomps = _co_components_within(g, verts)
-        if len(cocomps) == 1:
-            raise NotCographError(
-                f"vertices {tuple(verts)} induce a connected, co-connected subgraph"
-            )
+            splits.append((verts, "leaf", []))
+            continue
+        kind, parts = "union", _components_within(g, verts, False)
+        if len(parts) == 1:
+            kind, parts = "join", _components_within(g, verts, True)
+            if len(parts) == 1:
+                raise NotCographError(
+                    f"vertices {tuple(verts)} induce a connected, co-connected subgraph"
+                )
+        splits.append((verts, kind, parts))
+        stack.extend(reversed(parts))
+    # reverse preorder builds each subtree before its parent, the last child first
+    built: list[CotreeNode] = []
+    for verts, kind, parts in reversed(splits):
+        if kind == "leaf":
+            built.append(CotreeNode("leaf", (verts[0],)))
+            continue
+        children = [built.pop() for _ in parts]
+        if kind == "union":
+            built.append(CotreeNode("union", tuple(verts), tuple(children)))
+            continue
         # chain the parts into binary joins: part 1 against everything else
-        parts = [decompose(c) for c in cocomps]
-        node = parts[-1]
-        rest = list(cocomps[-1])
-        for part, cocomp in zip(reversed(parts[:-1]), reversed(cocomps[:-1])):
-            rest = sorted(rest + cocomp)
-            node = CotreeNode("join", tuple(rest), (part, node))
-        return node
-
-    with deep_recursion(4 * g.n + 100):
-        return decompose(sorted(g.vertices()))
+        node = children[-1]
+        rest = parts[-1]
+        for child, part in zip(reversed(children[:-1]), reversed(parts[:-1])):
+            rest = sorted(rest + part)
+            node = CotreeNode("join", tuple(rest), (child, node))
+        built.append(node)
+    return built.pop()
 
 
 def recognise(build: Callable[[Graph], object], g: Graph):
@@ -181,55 +158,41 @@ class ThresholdOrdering:
 def threshold_elimination_order(g: Graph) -> ThresholdOrdering:
     """Peel isolated-or-dominating vertices to certify a threshold graph.
 
-    The peel removes the smallest-id eligible vertex each round; a vertex
-    dominating the remainder wins over an isolated one.  The final single
-    vertex is recorded as isolated.
+    The peel removes the smallest-id eligible vertex each round; no
+    remainder of two or more vertices holds both kinds.  The final single
+    vertex is recorded as isolated.  A vertex's degree in the remainder is
+    its degree less the dominating vertices peeled so far (Chvátal &
+    Hammer 1977), so one pass over buckets of equal degree does the peel.
 
     Raises:
         NotThresholdError: some remainder has neither an isolated nor a
             dominating vertex.
     """
     n = g.n
-    alive = bytearray([1] * n)
-    deg = [g.degree(v) for v in range(n)]
-    remaining = n
-    rev_order: list[int] = []
-    rev_kinds: list[str] = []
-    while remaining > 1:
-        pick = -1
-        kind = ""
-        for v in range(n):
-            if not alive[v]:
-                continue
-            if deg[v] == remaining - 1:
-                pick, kind = v, "dominating"
-                break
-            if pick < 0 and deg[v] == 0:
-                pick, kind = v, "isolated"
-        if pick < 0:
-            raise NotThresholdError(
-                "remainder has no isolated and no dominating vertex"
-            )
-        alive[pick] = 0
-        remaining -= 1
-        for u in g.neighbors(pick):
-            if alive[u]:
-                deg[u] -= 1
-        rev_order.append(pick)
-        rev_kinds.append(kind)
-    if remaining == 1:
-        last = next(v for v in range(n) if alive[v])
-        rev_order.append(last)
-        rev_kinds.append("isolated")
-    order = tuple(reversed(rev_order))
-    kinds = tuple(reversed(rev_kinds))
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n - 1, -1, -1):
+        buckets[g.degree(v)].append(v)  # smallest id on top
+    order = [0] * n
+    kinds = ["isolated"] * n
     later = [0] * n
-    tail = 0
-    for i in range(n - 1, -1, -1):
-        later[i] = tail
-        if kinds[i] == "dominating":
-            tail += 1
-    return ThresholdOrdering(order, kinds, tuple(later))
+    peeled_dominating = 0  # the dominating vertices after the current position
+    for i in range(n - 1, 0, -1):
+        # i + 1 vertices remain: a dominating one has i neighbours among them
+        dominating = buckets[i + peeled_dominating]
+        isolated = buckets[peeled_dominating]
+        later[i] = peeled_dominating
+        if dominating:
+            order[i] = dominating.pop()
+            kinds[i] = "dominating"
+            peeled_dominating += 1
+        elif isolated:
+            order[i] = isolated.pop()
+        else:
+            raise NotThresholdError("remainder has no isolated and no dominating vertex")
+    if n:
+        order[0] = buckets[peeled_dominating].pop()
+        later[0] = peeled_dominating
+    return ThresholdOrdering(tuple(order), tuple(kinds), tuple(later))
 
 
 def is_threshold(g: Graph) -> bool:

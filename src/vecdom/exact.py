@@ -18,7 +18,6 @@ from .approx import GREEDY_METHODS, greedy_solution
 from .decomposition import (
     CotreeNode,
     build_modified_cotree,
-    deep_recursion,
     recognise,
     threshold_elimination_order,
 )
@@ -50,7 +49,8 @@ DEFAULT_ORACLE_CAP = 20
 
 METHODS = ("auto", "greedy", "oracle", "tree", "cograph", "threshold", "complete")
 
-# quadratic-time recognisers are only attempted below this size by auto
+# auto attempts class recognition only below this size: the threshold
+# ordering is linear, but the cotree build is super-linear
 _RECOGNITION_CAP = 4096
 
 
@@ -292,23 +292,17 @@ def _remainder(g: Graph, forced: list[int], reduced: Sequence[int], recognise: C
     return sub, [reduced[v] for v in old_of_new], old_of_new, cert
 
 
-_INFEASIBLE = None  # table sentinel: the subproblem admits no set at all
-
-
-def _table_size(entry: frozenset[int] | None) -> float:
-    return float("inf") if entry is None else len(entry)
-
-
 def solve_cograph(inst: Instance) -> Solution:
     """Optimal solver for graphs without induced four-vertex paths.
 
     Works bottom-up over the binarised cotree.  For every node H and every
     externally supplied discount r (neighbours of H promised from the
-    outside), the table holds a minimum set for H with all demands lowered
-    by r.  Leaves are immediate; union nodes take per-discount unions; a
-    join node combines its two sides by guessing how many vertices each
-    side will contribute to the other, padding a side up when the guess
-    exceeds what it picked for itself.
+    outside), the table holds the size of a minimum set for H with all
+    demands lowered by r.  Leaves are immediate; union nodes add up their
+    parts; a join node guesses, per discount, how many vertices each side
+    will contribute to the other.  The answer is rebuilt once, discounts
+    top-down and sets bottom-up, padding a side with its smallest unchosen
+    ids when a guess exceeds what it picked for itself.
 
     Partial scope forces vertices demanding more than their degree into
     the answer up front.  Total scope instead makes such a vertex, and any
@@ -339,72 +333,70 @@ def _cograph(
         work, work_k, lift, tree = _remainder(work, forced, work_k, build_modified_cotree)
         if work.n == 0:
             return forced
-    total = inst.scope is Scope.TOTAL
     delta = work.max_degree()
-
-    def evaluate(node: CotreeNode) -> list[frozenset[int] | None]:
+    infeasible = work.n + 1  # a size no set reaches: the subproblem cannot be served
+    alone = infeasible if inst.scope is Scope.TOTAL else 1
+    nodes = [tree]  # every parent before its children
+    for node in nodes:
+        nodes.extend(node.children)
+    # minimum sizes per node and discount; per join, the best (i, j) per discount
+    sizes: dict[int, list[int]] = {}
+    choices: dict[int, list[tuple[int, int]]] = {}
+    for node in reversed(nodes):
         if node.kind == "leaf":
-            v = node.vertex
-            kv = work_k[v]
-            alone = _INFEASIBLE if total else frozenset((v,))
-            return [frozenset() if kv <= r else alone for r in range(delta + 1)]
-        if node.kind == "union":
-            parts = [evaluate(child) for child in node.children]
-            row: list[frozenset[int] | None] = []
+            kv = work_k[node.vertex]
+            sizes[id(node)] = [0 if kv <= r else alone for r in range(delta + 1)]
+        elif node.kind == "union":
+            parts = [sizes[id(child)] for child in node.children]
+            sizes[id(node)] = [min(sum(column), infeasible) for column in zip(*parts)]
+        else:
+            left_node, right_node = node.children
+            left, right = sizes[id(left_node)], sizes[id(right_node)]
+            n_left, n_right = len(left_node.vertices), len(right_node.vertices)
+            row, chosen = [], []
             for r in range(delta + 1):
-                entries = [part[r] for part in parts]
-                if any(e is None for e in entries):
-                    row.append(_INFEASIBLE)
-                else:
-                    row.append(frozenset().union(*entries))
-            return row
-        left_node, right_node = node.children
-        left = evaluate(left_node)
-        right = evaluate(right_node)
-        n_left = len(left_node.vertices)
-        n_right = len(right_node.vertices)
-        row = []
-        for r in range(delta + 1):
-            best: tuple[int, int] | None = None
-            best_value = float("inf")
-            for i in range(n_right + 1):
-                own = left[min(r + i, delta)]
-                if own is None:
-                    continue
-                for j in range(n_left + 1):
-                    other = right[min(r + j, delta)]
-                    if other is None:
+                best, best_value = (0, 0), infeasible
+                right_at = [right[min(r + j, delta)] for j in range(n_left + 1)]
+                for i in range(n_right + 1):
+                    own = left[min(r + i, delta)]
+                    if own == infeasible:
                         continue
-                    value = max(len(own), j) + max(len(other), i)
-                    if value < best_value:
-                        best_value = value
-                        best = (i, j)
-            if best is None:
-                row.append(_INFEASIBLE)
-                continue
-            i, j = best
-            own = left[min(r + i, delta)]
-            other = right[min(r + j, delta)]
-            assert own is not None and other is not None
-            pick = set(own)
-            if len(pick) < j:
-                pool = [v for v in left_node.vertices if v not in pick]
-                pick.update(pool[: j - len(pick)])
-            pick.update(other)
-            if len(other) < i:
-                pool = [v for v in right_node.vertices if v not in other]
-                pick.update(pool[: i - len(other)])
-            row.append(frozenset(pick))
-        for r in range(delta):
-            assert _table_size(row[r]) >= _table_size(row[r + 1])
-        return row
-
-    with deep_recursion(6 * work.n + 200):
-        root_row = evaluate(tree)
-    answer = root_row[0]
-    if answer is None:
+                    for j, other in enumerate(right_at):
+                        if other == infeasible:
+                            continue
+                        value = max(own, j) + max(other, i)
+                        if value < best_value:
+                            best_value, best = value, (i, j)
+                row.append(best_value)
+                chosen.append(best)
+            sizes[id(node)], choices[id(node)] = row, chosen
+    if sizes[id(tree)][0] == infeasible:
         raise InfeasibleError("no vertex subset satisfies the instance")
-    return forced + [lift[v] for v in answer]
+    # the discount each node is solved at, top-down from 0 at the root
+    discount = {id(tree): 0}
+    for node in nodes:
+        r = discount[id(node)]
+        # a join's left side gets i more, its right side j more
+        shifts = choices[id(node)][r] if node.kind == "join" else (0,) * len(node.children)
+        for child, shift in zip(node.children, shifts):
+            discount[id(child)] = min(r + shift, delta)
+    # then the sets bottom-up: a join pads each side with its smallest
+    # unchosen ids up to what the other side counts on
+    in_set = bytearray(work.n)
+    for node in reversed(nodes):
+        if node.kind == "leaf":
+            in_set[node.vertex] = sizes[id(node)][discount[id(node)]]
+        elif node.kind == "join":
+            i, j = choices[id(node)][discount[id(node)]]
+            for side, want in zip(node.children, (j, i)):
+                short = want - sizes[id(side)][discount[id(side)]]
+                for v in side.vertices:
+                    if short <= 0:
+                        break
+                    if not in_set[v]:
+                        in_set[v] = 1
+                        short -= 1
+    return forced + [lift[v] for v in range(work.n) if in_set[v]]
 
 
 def _threshold_size_rows(
@@ -613,8 +605,9 @@ def auto_solve(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
     Exact solvers are preferred whenever the graph class admits one for
     the instance's scope; otherwise the oracle runs when the graph fits
     under the cap, and the bounded greedy takes over beyond it.  Class
-    recognition beyond completeness and treeness is quadratic, so it is
-    skipped on very large graphs.  Partial-scope instances with closed
-    neighbourhoods are solved through their open-neighbourhood equivalent.
+    recognition beyond completeness and treeness is skipped on very large
+    graphs, where the cotree build is slow.  Partial-scope instances with
+    closed neighbourhoods are solved through their open-neighbourhood
+    equivalent.
     """
     return solve(inst, "auto", cap)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from vecdom.bench import FAMILIES, BenchConfig, bench_suite
+from vecdom.errors import MalformedError
 
 
 def _config(**overrides) -> BenchConfig:
@@ -29,6 +32,11 @@ class TestBenchSuite:
             assert cell.family == family
             assert cell.size == 8
             assert cell.median_seconds >= 0.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_size_below_one_rejected(self, family) -> None:
+        with pytest.raises(MalformedError, match="at least 1"):
+            bench_suite(_config(family=family, sizes=(8, 0)))
 
     def test_deterministic_apart_from_times(self) -> None:
         first = bench_suite(_config())

@@ -2,10 +2,15 @@
 
 The recognizers are cross-checked against independent forbidden-subgraph
 scans: P4-free for cographs, {P4, C4, 2K2}-free for threshold graphs.
+They are also compared, certificate for certificate and error for error,
+with the straightforward versions they replaced: a peel that rescans
+every vertex each round, and a recursive cotree builder.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -14,8 +19,13 @@ from hypothesis import given
 from vecdom import (
     CotreeNode,
     Graph,
+    Instance,
+    Neighborhood,
     NotCographError,
     NotThresholdError,
+    Scope,
+    ThresholdOrdering,
+    auto_solve,
     build_graph,
     build_modified_cotree,
     complete_graph,
@@ -23,8 +33,11 @@ from vecdom import (
     is_cograph,
     is_threshold,
     path_graph,
+    solve_cograph,
+    solve_threshold_vector,
     threshold_elimination_order,
 )
+from vecdom.generators import random_cograph, random_gnp, random_threshold, threshold_graph
 
 from .strategies import PROPERTY_SETTINGS, cographs, graphs, threshold_graphs
 
@@ -187,3 +200,199 @@ class TestThresholdElimination:
         if not is_threshold(g):
             with pytest.raises(NotThresholdError):
                 threshold_elimination_order(g)
+
+
+# -- references: the rescan peel and the recursive cotree builder -----------
+
+
+def _rescan_elimination_order(g: Graph) -> ThresholdOrdering:
+    """Each round scans every live vertex for the smallest-id eligible one."""
+    n = g.n
+    alive = bytearray([1] * n)
+    deg = [g.degree(v) for v in range(n)]
+    remaining = n
+    rev_order: list[int] = []
+    rev_kinds: list[str] = []
+    while remaining > 1:
+        pick = -1
+        kind = ""
+        for v in range(n):
+            if not alive[v]:
+                continue
+            if deg[v] == remaining - 1:
+                pick, kind = v, "dominating"
+                break
+            if pick < 0 and deg[v] == 0:
+                pick, kind = v, "isolated"
+        if pick < 0:
+            raise NotThresholdError("remainder has no isolated and no dominating vertex")
+        alive[pick] = 0
+        remaining -= 1
+        for u in g.neighbors(pick):
+            if alive[u]:
+                deg[u] -= 1
+        rev_order.append(pick)
+        rev_kinds.append(kind)
+    if remaining == 1:
+        rev_order.append(next(v for v in range(n) if alive[v]))
+        rev_kinds.append("isolated")
+    order = tuple(reversed(rev_order))
+    kinds = tuple(reversed(rev_kinds))
+    later = [0] * n
+    tail = 0
+    for i in range(n - 1, -1, -1):
+        later[i] = tail
+        if kinds[i] == "dominating":
+            tail += 1
+    return ThresholdOrdering(order, kinds, tuple(later))
+
+
+def _reference_components(g: Graph, verts: list[int]) -> list[list[int]]:
+    unseen = set(verts)
+    comps: list[list[int]] = []
+    for start in verts:
+        if start not in unseen:
+            continue
+        unseen.discard(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u in unseen:
+                    unseen.discard(u)
+                    comp.append(u)
+                    stack.append(u)
+        comp.sort()
+        comps.append(comp)
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def _reference_co_components(g: Graph, verts: list[int]) -> list[list[int]]:
+    unseen = set(verts)
+    comps: list[list[int]] = []
+    for start in verts:
+        if start not in unseen:
+            continue
+        unseen.discard(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            nxt = unseen.difference(g.neighbors(v))
+            if nxt:
+                unseen.difference_update(nxt)
+                comp.extend(nxt)
+                stack.extend(nxt)
+        comp.sort()
+        comps.append(comp)
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def _recursive_cotree(g: Graph) -> CotreeNode:
+    if g.n == 0:
+        raise NotCographError("cannot decompose the empty graph")
+
+    def decompose(verts: list[int]) -> CotreeNode:
+        if len(verts) == 1:
+            return CotreeNode("leaf", (verts[0],))
+        comps = _reference_components(g, verts)
+        if len(comps) > 1:
+            return CotreeNode("union", tuple(verts), tuple(decompose(c) for c in comps))
+        cocomps = _reference_co_components(g, verts)
+        if len(cocomps) == 1:
+            raise NotCographError(
+                f"vertices {tuple(verts)} induce a connected, co-connected subgraph"
+            )
+        parts = [decompose(c) for c in cocomps]
+        node = parts[-1]
+        rest = list(cocomps[-1])
+        for part, cocomp in zip(reversed(parts[:-1]), reversed(cocomps[:-1])):
+            rest = sorted(rest + cocomp)
+            node = CotreeNode("join", tuple(rest), (part, node))
+        return node
+
+    return decompose(sorted(g.vertices()))
+
+
+def _certificate(build, g: Graph):
+    try:
+        return build(g)
+    except (NotCographError, NotThresholdError) as exc:
+        return type(exc), str(exc)
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed by a random permutation."""
+    old_of_new = list(range(g.n))
+    rng.shuffle(old_of_new)
+    label = [0] * g.n
+    for new, old in enumerate(old_of_new):
+        label[old] = new
+    rows = (tuple(sorted(label[u] for u in g.neighbors(old))) for old in old_of_new)
+    return Graph(tuple(rows), g.m)
+
+
+def _differential_corpus() -> list[Graph]:
+    rng = random.Random("recognisers-vs-references")
+    corpus = [_relabelled(random_threshold(rng.randint(1, 300), rng), rng) for _ in range(300)]
+    corpus += [random_cograph(rng.randint(1, 60), rng) for _ in range(400)]
+    corpus += [
+        random_gnp(rng.randint(1, 40), rng.uniform(0.03, 0.6), rng) for _ in range(300)
+    ]
+    return corpus
+
+
+def test_recognisers_match_references() -> None:
+    corpus = _differential_corpus()
+    assert len(corpus) >= 1000
+    for index, g in enumerate(corpus):
+        assert _certificate(threshold_elimination_order, g) == _certificate(
+            _rescan_elimination_order, g
+        ), index
+        # the threshold graphs reach n=300, where the cotree build is cubic
+        # and the recursive reference would outgrow the recursion limit
+        if index >= 300:
+            assert _certificate(build_modified_cotree, g) == _certificate(
+                _recursive_cotree, g
+            ), index
+
+
+def _cotree_depth(root: CotreeNode) -> int:
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node.children)
+    return deepest
+
+
+def test_deep_cotree_needs_no_recursion_limit(monkeypatch) -> None:
+    # vertices alternate dominating and isolated: the cotree is a path of depth ~n
+    n = 120
+    g = threshold_graph([i % 2 == 0 for i in range(n - 1)])
+    ones = (1,) * n
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = frames + 40
+    set_limit, old_limit = sys.setrecursionlimit, sys.getrecursionlimit()
+
+    def refuse(depth: int) -> None:
+        raise AssertionError(f"recursion limit set to {depth}")
+
+    set_limit(limit)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        ordering = threshold_elimination_order(g)
+        root = build_modified_cotree(g)
+        partial = solve_cograph(Instance(g, Neighborhood.OPEN, Scope.PARTIAL, ones))
+        total = auto_solve(Instance(g, Neighborhood.OPEN, Scope.TOTAL, ones))
+    finally:
+        set_limit(old_limit)
+    assert _cotree_depth(root) > limit
+    assert ordering == _rescan_elimination_order(g)
+    assert partial.size == solve_threshold_vector(g, ones).size
+    assert total.method == "cograph" and total.size == 2

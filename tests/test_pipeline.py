@@ -16,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -153,7 +155,7 @@ SOLVER_DIGEST = "c2374819f6735c58e25fb03d9ebd5203e52fc86436a009295f5f3e164bea27f
 CLI_DIGEST = "d1dc5e02c13ec1d0c7bddd795ed3c3ca5f3c8984c16443e5c44c3c8ace9f8577"
 
 
-def test_solver_outputs_match_golden_digest() -> None:
+def _solver_records() -> list[str]:
     records = []
     for index, (g, demands) in enumerate(_corpus()):
         for neighborhood in (OPEN, CLOSED):
@@ -163,8 +165,36 @@ def test_solver_outputs_match_golden_digest() -> None:
                     records.append(
                         f"{index}|{neighborhood.value}|{scope.value}|{name}|{_outcome(call)}"
                     )
+    return records
+
+
+def test_solver_outputs_match_golden_digest() -> None:
+    records = _solver_records()
     assert len(records) >= 2000
     assert _digest(records) == SOLVER_DIGEST
+
+
+def test_solver_digest_same_under_optimize_flag() -> None:
+    # -O strips every assert, CotreeNode's shape checks among them
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "from tests.test_pipeline import _digest, _solver_records\n"
+        "assert False, 'asserts are still on'\n"
+        "records = _solver_records()\n"
+        "print(len(records), _digest(records))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={"PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    count, digest = done.stdout.split()
+    assert int(count) >= 2000
+    assert digest == SOLVER_DIGEST
 
 
 CLI_METHODS = ("auto", "greedy", "oracle", "tree", "cograph", "threshold", "complete")
