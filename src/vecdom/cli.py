@@ -281,9 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not at import, then reused: parse_args
+# returns a fresh namespace each time and leaves the parser unchanged
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 from .errors import NotCographError, NotThresholdError
@@ -19,13 +20,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CotreeNode:
     """A node of the binarised-join cotree.
 
     ``leaf`` nodes carry a single vertex.  ``union`` nodes may have any
     number of children (one per connected component).  ``join`` nodes have
     exactly two children: the first complement component and the rest.
+
+    Equality walks both trees on an explicit stack, and hash and repr look
+    at this node only, so cotrees thousands of levels deep compare, hash
+    and print without meeting the recursion limit.
     """
 
     kind: str  # "leaf" | "union" | "join"
@@ -46,6 +51,32 @@ class CotreeNode:
     def vertex(self) -> int:
         assert self.kind == "leaf"
         return self.vertices[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CotreeNode):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                a.kind != b.kind
+                or a.vertices != b.vertices
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.vertices))
+
+    def __repr__(self) -> str:
+        return (
+            f"CotreeNode(kind={self.kind!r}, vertices={self.vertices!r}, "
+            f"children=<{len(self.children)} nodes>)"
+        )
 
 
 def _components_within(g: Graph, verts: list[int], complement: bool) -> list[list[int]]:
@@ -193,6 +224,43 @@ def threshold_elimination_order(g: Graph) -> ThresholdOrdering:
         order[0] = buckets[peeled_dominating].pop()
         later[0] = peeled_dominating
     return ThresholdOrdering(tuple(order), tuple(kinds), tuple(later))
+
+
+def threshold_cotree(ordering: ThresholdOrdering) -> CotreeNode:
+    """The cotree :func:`build_modified_cotree` returns, read off an ordering.
+
+    A threshold graph's cotree is a caterpillar (Chvátal & Hammer 1977).
+    From the top of the ordering, each maximal run of one kind is one
+    level: its vertices are universal (a dominating run) or isolated (an
+    isolated run) in the subgraph of the run and everything below it, and
+    everything below is one more part, a co-component or a component.  The
+    bottom vertex joins the run just above it.  Parts come in order of
+    smallest vertex, and joins are chained as :func:`build_modified_cotree`
+    chains them, so the result is equal node for node.
+
+    Raises:
+        NotCographError: the ordering is empty.
+    """
+    order, kinds = ordering.order, ordering.kinds
+    if not order:
+        raise NotCographError("cannot decompose the empty graph")
+    node = CotreeNode("leaf", (order[0],))
+    verts = [order[0]]  # the vertices below, ascending
+    # the levels bottom-up: runs of equal kinds above the bottom vertex
+    for kind, run in groupby(range(1, len(order)), kinds.__getitem__):
+        level = [order[i] for i in run]
+        parts = [([v], CotreeNode("leaf", (v,))) for v in level]
+        parts.append((verts, node))
+        parts.sort(key=lambda part: part[0][0])
+        if kind == "isolated":
+            verts = sorted(verts + level)
+            node = CotreeNode("union", tuple(verts), tuple(child for _, child in parts))
+            continue
+        verts, node = parts[-1]
+        for part, child in reversed(parts[:-1]):
+            verts = sorted(verts + part)
+            node = CotreeNode("join", tuple(verts), (child, node))
+    return node
 
 
 def is_threshold(g: Graph) -> bool:

@@ -19,6 +19,7 @@ from .decomposition import (
     CotreeNode,
     build_modified_cotree,
     recognise,
+    threshold_cotree,
     threshold_elimination_order,
 )
 from .errors import (
@@ -50,7 +51,8 @@ DEFAULT_ORACLE_CAP = 20
 METHODS = ("auto", "greedy", "oracle", "tree", "cograph", "threshold", "complete")
 
 # auto attempts class recognition only below this size: the threshold
-# ordering is linear, but the cotree build is super-linear
+# ordering and its caterpillar cotree are cheap, but the general cotree
+# build, which every non-threshold graph meets, is super-linear
 _RECOGNITION_CAP = 4096
 
 
@@ -298,15 +300,20 @@ def solve_cograph(inst: Instance) -> Solution:
     Works bottom-up over the binarised cotree.  For every node H and every
     externally supplied discount r (neighbours of H promised from the
     outside), the table holds the size of a minimum set for H with all
-    demands lowered by r.  Leaves are immediate; union nodes add up their
-    parts; a join node guesses, per discount, how many vertices each side
-    will contribute to the other.  The answer is rebuilt once, discounts
+    demands lowered by r.  H's row stops at the largest demand K inside
+    H, where it reaches 0; it is flat past K, so every lookup clips to the
+    row's end.  Leaves are immediate; union nodes add up their parts; a
+    join node guesses, per discount, how many vertices each side will
+    contribute to the other, and never guesses more than brings the
+    receiving side's row to its end, so a join costs at most (K+1)^3
+    steps whatever the degrees.  The answer is rebuilt once, discounts
     top-down and sets bottom-up, padding a side with its smallest unchosen
     ids when a guess exceeds what it picked for itself.
 
     Partial scope forces vertices demanding more than their degree into
-    the answer up front.  Total scope instead makes such a vertex, and any
-    subproblem that cannot be served, an infeasible table entry that
+    the answer up front, so every demand left is at most its degree.
+    Total scope reports such a vertex infeasible up front, and makes any
+    subproblem that cannot be served an infeasible table entry that
     absorbs everything it joins.
 
     Raises:
@@ -333,32 +340,40 @@ def _cograph(
         work, work_k, lift, tree = _remainder(work, forced, work_k, build_modified_cotree)
         if work.n == 0:
             return forced
-    delta = work.max_degree()
     infeasible = work.n + 1  # a size no set reaches: the subproblem cannot be served
     alone = infeasible if inst.scope is Scope.TOTAL else 1
     nodes = [tree]  # every parent before its children
     for node in nodes:
         nodes.extend(node.children)
-    # minimum sizes per node and discount; per join, the best (i, j) per discount
+    # minimum sizes per node and discount, up to the largest demand below
+    # (the row is 0 there and flat past it); per join, the best (i, j) per discount
     sizes: dict[int, list[int]] = {}
     choices: dict[int, list[tuple[int, int]]] = {}
     for node in reversed(nodes):
         if node.kind == "leaf":
             kv = work_k[node.vertex]
-            sizes[id(node)] = [0 if kv <= r else alone for r in range(delta + 1)]
+            sizes[id(node)] = [alone] * kv + [0]
         elif node.kind == "union":
             parts = [sizes[id(child)] for child in node.children]
-            sizes[id(node)] = [min(sum(column), infeasible) for column in zip(*parts)]
+            sizes[id(node)] = [
+                min(sum(part[min(r, len(part) - 1)] for part in parts), infeasible)
+                for r in range(max(map(len, parts)))
+            ]
         else:
             left_node, right_node = node.children
             left, right = sizes[id(left_node)], sizes[id(right_node)]
+            top_left, top_right = len(left) - 1, len(right) - 1
             n_left, n_right = len(left_node.vertices), len(right_node.vertices)
             row, chosen = [], []
-            for r in range(delta + 1):
+            for r in range(max(top_left, top_right) + 1):
+                # past its top a side's row is flat, so a larger i (or j)
+                # never beats the capped one that the scan meets first
+                cap_i = min(n_right, max(top_left - r, 0))
+                cap_j = min(n_left, max(top_right - r, 0))
                 best, best_value = (0, 0), infeasible
-                right_at = [right[min(r + j, delta)] for j in range(n_left + 1)]
-                for i in range(n_right + 1):
-                    own = left[min(r + i, delta)]
+                right_at = [right[min(r + j, top_right)] for j in range(cap_j + 1)]
+                for i in range(cap_i + 1):
+                    own = left[min(r + i, top_left)]
                     if own == infeasible:
                         continue
                     for j, other in enumerate(right_at):
@@ -372,14 +387,15 @@ def _cograph(
             sizes[id(node)], choices[id(node)] = row, chosen
     if sizes[id(tree)][0] == infeasible:
         raise InfeasibleError("no vertex subset satisfies the instance")
-    # the discount each node is solved at, top-down from 0 at the root
+    # the discount each node is solved at, top-down from 0 at the root and
+    # clipped to the node's own row
     discount = {id(tree): 0}
     for node in nodes:
         r = discount[id(node)]
         # a join's left side gets i more, its right side j more
         shifts = choices[id(node)][r] if node.kind == "join" else (0,) * len(node.children)
         for child, shift in zip(node.children, shifts):
-            discount[id(child)] = min(r + shift, delta)
+            discount[id(child)] = min(r + shift, len(sizes[id(child)]) - 1)
     # then the sets bottom-up: a join pads each side with its smallest
     # unchosen ids up to what the other side counts on
     in_set = bytearray(work.n)
@@ -549,7 +565,9 @@ def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
         if n <= _RECOGNITION_CAP:
             ordering = recognise(threshold_elimination_order, g)
             if ordering is not None:
-                return ("threshold", ordering) if partial else ("cograph", None)
+                if partial:
+                    return "threshold", ordering
+                return "cograph", threshold_cotree(ordering)
             cotree = recognise(build_modified_cotree, g)
             if cotree is not None:
                 return "cograph", cotree

@@ -33,6 +33,7 @@ from .errors import (
 from .exact import DEFAULT_ORACLE_CAP, brute_force_minimum
 from .feasibility import Solution, is_feasible
 from .graph import Graph, build_graph, complete_graph, disjoint_union, join
+from .io import MAX_VERTICES
 from .variants import Neighborhood, compile_variant, demand_bound, named_variant
 
 __all__ = [
@@ -115,6 +116,21 @@ def _require_positive(**counts: int | None) -> None:
             raise GadgetParameterError(f"{name} must be at least 1, got {value}")
 
 
+def _require_buildable(g: Graph, copies: int, extra_vertices: int, extra_edges: int) -> None:
+    """Reject a G' of ``copies`` copies of g plus the extras before it is built.
+
+    Either count above ``MAX_VERTICES``, the limit on an input graph, is
+    refused, so no parameter can make a construction exhaust memory.
+    """
+    vertices = copies * g.n + extra_vertices
+    edges = copies * g.m + extra_edges
+    if max(vertices, edges) > MAX_VERTICES:
+        raise GadgetParameterError(
+            f"G' would have {vertices} vertices and {edges} edges; "
+            f"each must stay within {MAX_VERTICES}"
+        )
+
+
 def _default_factor(alpha: Fraction) -> int:
     """Pool multiplier and block factor unless given: ceil(alpha/(1-alpha))."""
     return math.ceil(alpha / (1 - alpha))
@@ -160,6 +176,7 @@ def _attach(
 def gadget_replicate(g: Graph, copies: int) -> GadgetOutput:
     """Disjoint copies of the graph; the optimum scales by the copy count."""
     _require_positive(copies=copies)
+    _require_buildable(g, copies, 0, 0)
     gprime, maps = disjoint_union([g] * copies)
     embeddings = tuple(tuple(mp[v] for v in range(g.n)) for mp in maps)
     claim = SandwichClaim(
@@ -197,6 +214,7 @@ def gadget_alpha_domination(
     mult = multiplier if multiplier is not None else _default_factor(a)
     pool_size = mult * g.max_degree()
     demands = _attachment_demands(g, a, Neighborhood.OPEN)
+    _require_buildable(g, 1, pool_size, sum(demands))
     n = g.n
     edges = list(g.edges()) + _attach(demands, (0,), n, pool_size)
     gprime = build_graph(n + pool_size, edges)
@@ -258,10 +276,12 @@ def _copies_plus_clique(
         )
     demands = _attachment_demands(g, a, nbhd)
     block_size = bf * copies_per_block
+    copies, clique = blocks * copies_per_block, block_size * blocks
+    _require_buildable(g, copies, clique, clique * (clique - 1) // 2 + copies * sum(demands))
     n = g.n
-    offsets = [j * n for j in range(blocks * copies_per_block)]
-    clique_start = len(offsets) * n
-    clique_end = clique_start + block_size * blocks
+    offsets = [j * n for j in range(copies)]
+    clique_start = copies * n
+    clique_end = clique_start + clique
     edges = [(off + u, off + v) for off in offsets for u, v in g.edges()]
     edges += combinations(range(clique_start, clique_end), 2)
     for b in range(blocks):
@@ -332,6 +352,7 @@ def gadget_k_domination(g: Graph, k: int) -> GadgetOutput:
     result.  Upper bound only: middle <= base + k - 1.
     """
     _require_positive(k=k)
+    _require_buildable(g, 1, k - 1, (k - 1) * (k - 2) // 2 + g.n * (k - 1))
     gprime = join(g, complete_graph(k - 1))
     claim = SandwichClaim(
         base_variant="domination",

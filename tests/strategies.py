@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for the vecdom test suite.
+"""Shared hypothesis strategies and graph helpers for the vecdom test suite.
 
 Graphs come in four flavours: arbitrary (edge subsets of K_n), trees
 (decoded Prufer draws), cographs, and threshold graphs (seeded
@@ -91,3 +91,14 @@ def vertex_subsets(draw: st.DrawFn, g: Graph) -> frozenset[int]:
     if g.n == 0:
         return frozenset()
     return frozenset(draw(st.lists(st.integers(0, g.n - 1), unique=True)))
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed by a random permutation."""
+    old_of_new = list(range(g.n))
+    rng.shuffle(old_of_new)
+    label = [0] * g.n
+    for new, old in enumerate(old_of_new):
+        label[old] = new
+    rows = (tuple(sorted(label[u] for u in g.neighbors(old))) for old in old_of_new)
+    return Graph(tuple(rows), g.m)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vecdom
-from vecdom import feasibility
+from vecdom import cli, feasibility
 from vecdom.cli import (
     EXIT_CERTIFICATION,
     EXIT_INFEASIBLE,
@@ -212,6 +212,15 @@ ARGUMENT_ERRORS = {
     "demand above the pool": [
         "gadget", "STAR", "--construction", "alpha", "--alpha", "3/4", "--multiplier", "1",
     ],
+    # G' past the input limit is refused before anything is allocated
+    "replicate copies 10^8": ["gadget", "K2", "--construction", "replicate", "--copies", "100000000"],
+    "k-dom k 10^5": ["gadget", "K2", "--construction", "k-dom", "--k", "100000"],
+    "alpha multiplier 10^8": [
+        "gadget", "C4", "--construction", "alpha", "--alpha", "1/2", "--multiplier", "100000000",
+    ],
+    "total-alpha blocks 10^5": [
+        "gadget", "C4", "--construction", "total-alpha", "--alpha", "1/2", "--blocks", "100000",
+    ],
     **{
         f"{construction} {flag} 0": [
             "gadget", "C4", "--construction", construction, "--alpha", "1/2", flag, "0",
@@ -231,7 +240,11 @@ ARGUMENT_ERRORS = {
 
 
 def _graph_files(tmp_path: Path) -> dict[str, str]:
-    return {"C4": _write(tmp_path, "c4.gr", C4), "STAR": _write(tmp_path, "star.gr", STAR)}
+    return {
+        "C4": _write(tmp_path, "c4.gr", C4),
+        "STAR": _write(tmp_path, "star.gr", STAR),
+        "K2": _write(tmp_path, "k2.gr", "p edge 2 1\ne 1 2\n"),
+    }
 
 
 @pytest.mark.parametrize("case", sorted(ARGUMENT_ERRORS))
@@ -244,6 +257,26 @@ def test_argument_error_exits_two(case, tmp_path, capsys) -> None:
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_parser_built_once_and_flags_do_not_leak(c4_file, tmp_path, monkeypatch, capsys) -> None:
+    built, build = [], cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    dem = _write(tmp_path, "ones.dem", "1 1\n2 1\n3 1\n4 1\n")
+    flags = ["--variant", "vector-domination", "--demands", dem]
+    assert main(["solve", c4_file, *flags, "--method", "greedy"]) == EXIT_OK
+    assert _record(capsys)["solverPath"] == "greedy-vector-domination"
+    assert main(["solve", c4_file, *flags]) == EXIT_OK
+    assert _record(capsys)["solverPath"] == "cograph"
+    assert main(["gadget", c4_file, "--construction", "replicate"]) == EXIT_OK
+    assert _record(capsys)["order"] == 8
+    assert built == [1]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ The recognizers are cross-checked against independent forbidden-subgraph
 scans: P4-free for cographs, {P4, C4, 2K2}-free for threshold graphs.
 They are also compared, certificate for certificate and error for error,
 with the straightforward versions they replaced: a peel that rescans
-every vertex each round, and a recursive cotree builder.
+every vertex each round, and a recursive cotree builder.  The caterpillar
+read off a threshold ordering is compared with the general cotree build.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from vecdom import (
     solve_threshold_vector,
     threshold_elimination_order,
 )
+from vecdom.decomposition import threshold_cotree
 from vecdom.generators import random_cograph, random_gnp, random_threshold, threshold_graph
 
-from .strategies import PROPERTY_SETTINGS, cographs, graphs, threshold_graphs
+from .strategies import PROPERTY_SETTINGS, cographs, graphs, relabelled, threshold_graphs
 
 
 def _induced_edge_count(g: Graph, quad: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -324,20 +326,9 @@ def _certificate(build, g: Graph):
         return type(exc), str(exc)
 
 
-def _relabelled(g: Graph, rng: random.Random) -> Graph:
-    """g with its vertices renamed by a random permutation."""
-    old_of_new = list(range(g.n))
-    rng.shuffle(old_of_new)
-    label = [0] * g.n
-    for new, old in enumerate(old_of_new):
-        label[old] = new
-    rows = (tuple(sorted(label[u] for u in g.neighbors(old))) for old in old_of_new)
-    return Graph(tuple(rows), g.m)
-
-
 def _differential_corpus() -> list[Graph]:
     rng = random.Random("recognisers-vs-references")
-    corpus = [_relabelled(random_threshold(rng.randint(1, 300), rng), rng) for _ in range(300)]
+    corpus = [relabelled(random_threshold(rng.randint(1, 300), rng), rng) for _ in range(300)]
     corpus += [random_cograph(rng.randint(1, 60), rng) for _ in range(400)]
     corpus += [
         random_gnp(rng.randint(1, 40), rng.uniform(0.03, 0.6), rng) for _ in range(300)
@@ -396,3 +387,41 @@ def test_deep_cotree_needs_no_recursion_limit(monkeypatch) -> None:
     assert ordering == _rescan_elimination_order(g)
     assert partial.size == solve_threshold_vector(g, ones).size
     assert total.method == "cograph" and total.size == 2
+
+
+def test_threshold_cotree_equals_general_build() -> None:
+    rng = random.Random("threshold-caterpillar")
+    # mostly small graphs: the general build it is checked against is cubic
+    sizes = [rng.randint(100, 300) if i % 10 == 0 else rng.randint(1, 80) for i in range(300)]
+    sizes += [1, 2, 3]
+    for index, n in enumerate(sizes):
+        g = relabelled(random_threshold(n, rng), rng)
+        assert threshold_cotree(threshold_elimination_order(g)) == build_modified_cotree(g), index
+    for n in (1, 2, 3, 4):  # every creation sequence, with the bottom vertex of either kind
+        for bits in range(2 ** (n - 1)):
+            g = threshold_graph([bool(bits >> i & 1) for i in range(n - 1)])
+            assert threshold_cotree(threshold_elimination_order(g)) == build_modified_cotree(g)
+
+
+def _join_chain(levels: int, bottom: int) -> CotreeNode:
+    """A chain of ``levels`` joins over vertices 0..levels; the deepest leaf holds ``bottom``."""
+    node = CotreeNode("leaf", (bottom,))
+    verts = [0]
+    for v in range(levels):
+        verts.append(v + 1)
+        node = CotreeNode("join", tuple(verts), (CotreeNode("leaf", (v + 1,)), node))
+    return node
+
+
+def test_deep_cotree_compares_hashes_and_prints() -> None:
+    levels = 1500
+    # only the deepest leaf differs: equality has to walk every level
+    chain, copy, changed = _join_chain(levels, 0), _join_chain(levels, 0), _join_chain(levels, -1)
+    assert levels > sys.getrecursionlimit()
+    assert chain == copy and not chain != copy
+    assert chain != changed
+    assert hash(chain) == hash(copy)
+    assert len({chain, copy}) == 1
+    assert repr(chain).startswith("CotreeNode(kind='join'") and "<2 nodes>" in repr(chain)
+    assert str(CotreeNode("leaf", (4,))) == "CotreeNode(kind='leaf', vertices=(4,), children=<0 nodes>)"
+    assert chain != "join"

@@ -1,7 +1,10 @@
 """Exact solvers against the brute-force oracle.
 
 Every solver is held to size equality with the oracle on small inputs
-and to self-certification (its own output must pass is_feasible).
+and to self-certification (its own output must pass is_feasible).  The
+cograph DP, whose rows stop at the largest demand, is also compared set
+for set with the DP whose rows ran to the maximum degree, and the
+threshold DP with the cograph DP well past the oracle's cap.
 """
 
 from __future__ import annotations
@@ -32,8 +35,15 @@ from vecdom import (
     solve_tree_vector,
     star_graph,
 )
-from vecdom.errors import InfeasibleError, NotCompleteError, TooLargeError
-from vecdom.generators import random_demand_vector, random_gnp
+from vecdom import exact
+from vecdom.decomposition import build_modified_cotree
+from vecdom.errors import InfeasibleError, NotCompleteError, TooLargeError, VecdomError
+from vecdom.generators import (
+    random_cograph,
+    random_demand_vector,
+    random_gnp,
+    random_threshold,
+)
 
 from .strategies import (
     PROPERTY_SETTINGS,
@@ -41,6 +51,7 @@ from .strategies import (
     cographs,
     demands_for,
     instances,
+    relabelled,
     threshold_graphs,
     trees,
 )
@@ -285,3 +296,120 @@ class TestAutoSolve:
         assert is_feasible(inst, sol.vertices).feasible
         if inst.graph.n <= 10 and sol.quality == "optimal":
             assert len(sol.vertices) == len(brute_force_minimum(inst).vertices)
+
+
+def _unpruned_cograph(inst, tree, forced, work_k):
+    """The cograph DP with every row running to the maximum degree, and no cap on the join search."""
+    work = inst.graph
+    if work.n == 0:
+        return ()
+    if tree is None:
+        tree = build_modified_cotree(work)
+    lift = range(work.n)
+    if forced:
+        work, work_k, lift, tree = exact._remainder(work, forced, work_k, build_modified_cotree)
+        if work.n == 0:
+            return forced
+    delta = work.max_degree()
+    infeasible = work.n + 1
+    alone = infeasible if inst.scope is Scope.TOTAL else 1
+    nodes = [tree]
+    for node in nodes:
+        nodes.extend(node.children)
+    sizes, choices = {}, {}
+    for node in reversed(nodes):
+        if node.kind == "leaf":
+            kv = work_k[node.vertex]
+            sizes[id(node)] = [0 if kv <= r else alone for r in range(delta + 1)]
+        elif node.kind == "union":
+            parts = [sizes[id(child)] for child in node.children]
+            sizes[id(node)] = [min(sum(column), infeasible) for column in zip(*parts)]
+        else:
+            left_node, right_node = node.children
+            left, right = sizes[id(left_node)], sizes[id(right_node)]
+            n_left, n_right = len(left_node.vertices), len(right_node.vertices)
+            row, chosen = [], []
+            for r in range(delta + 1):
+                best, best_value = (0, 0), infeasible
+                right_at = [right[min(r + j, delta)] for j in range(n_left + 1)]
+                for i in range(n_right + 1):
+                    own = left[min(r + i, delta)]
+                    if own == infeasible:
+                        continue
+                    for j, other in enumerate(right_at):
+                        if other == infeasible:
+                            continue
+                        value = max(own, j) + max(other, i)
+                        if value < best_value:
+                            best_value, best = value, (i, j)
+                row.append(best_value)
+                chosen.append(best)
+            sizes[id(node)], choices[id(node)] = row, chosen
+    if sizes[id(tree)][0] == infeasible:
+        raise InfeasibleError("no vertex subset satisfies the instance")
+    discount = {id(tree): 0}
+    for node in nodes:
+        r = discount[id(node)]
+        shifts = choices[id(node)][r] if node.kind == "join" else (0,) * len(node.children)
+        for child, shift in zip(node.children, shifts):
+            discount[id(child)] = min(r + shift, delta)
+    in_set = bytearray(work.n)
+    for node in reversed(nodes):
+        if node.kind == "leaf":
+            in_set[node.vertex] = sizes[id(node)][discount[id(node)]]
+        elif node.kind == "join":
+            i, j = choices[id(node)][discount[id(node)]]
+            for side, want in zip(node.children, (j, i)):
+                short = want - sizes[id(side)][discount[id(side)]]
+                for v in side.vertices:
+                    if short <= 0:
+                        break
+                    if not in_set[v]:
+                        in_set[v] = 1
+                        short -= 1
+    return forced + [lift[v] for v in range(work.n) if in_set[v]]
+
+
+def _outcomes(inst: Instance) -> list:
+    """Vertex set and method, or error class and message, of both cograph entries."""
+    found = []
+    for entry in (solve_cograph, auto_solve):
+        try:
+            sol = entry(inst)
+            found.append((sol.sorted_vertices(), sol.method))
+        except VecdomError as exc:
+            found.append((type(exc).__name__, str(exc)))
+    return found
+
+
+def test_cograph_rows_to_largest_demand_match_rows_to_max_degree(monkeypatch) -> None:
+    rng = random.Random("cograph-rows-vs-max-degree")
+    demand_caps = (lambda d: 1, lambda d: 2, lambda d: 4, lambda d: d, lambda d: d + 2)
+    for index in range(1000):
+        n = rng.randint(1, 45)
+        g = (random_cograph if index % 2 else random_threshold)(n, rng)
+        cap = demand_caps[index % len(demand_caps)]
+        demands = tuple(rng.randint(0, cap(g.degree(v))) for v in range(n))
+        scope = Scope.TOTAL if index % 4 >= 2 else Scope.PARTIAL
+        inst = Instance(g, Neighborhood.OPEN, scope, demands)
+        found = _outcomes(inst)
+        with monkeypatch.context() as patch:
+            patch.setitem(exact._EXACT, "cograph", _unpruned_cograph)
+            expected = _outcomes(inst)
+        assert found == expected, index
+
+
+def test_threshold_dp_equals_cograph_dp_beyond_oracle() -> None:
+    rng = random.Random("threshold-vs-cograph-large")
+    for n in (200, 300, 500):
+        g = relabelled(random_threshold(n, rng), rng)
+        ones = tuple(min(1, g.degree(v)) for v in range(n))
+        fours = tuple(rng.randint(0, 4) for _ in range(n))
+        # about one vertex in twenty demands more than its degree, so it is forced
+        forcing = tuple(
+            g.degree(v) + 1 if rng.random() < 0.05 else rng.randint(0, min(4, g.degree(v)))
+            for v in range(n)
+        )
+        for demands in (ones, fours, forcing):
+            inst = _partial_open(g, demands)
+            assert solve_threshold_vector(g, demands).size == solve_cograph(inst).size, n
