@@ -36,8 +36,8 @@ from .errors import (
     OutOfRangeError,
     WrongVariantError,
 )
-from .feasibility import CoverageState, Solution, certify, coverage_target
-from .variants import Instance, Neighborhood, Scope, reduce_forced
+from .feasibility import CoverageState, Solution, coverage_target
+from .variants import Instance, Neighborhood, Scope
 
 __all__ = [
     "GREEDY_METHODS",
@@ -160,9 +160,9 @@ def _certified_greedy(inst: Instance, scope: Scope, neighborhood: Neighborhood) 
         raise WrongVariantError(
             f"expected a {scope.value}-scope {neighborhood.value}-neighbourhood instance"
         )
-    solution = greedy_solution(inst, reduce_forced(inst)[0])
-    certify(inst, solution.vertices, solution.method)
-    return solution
+    from .exact import solve  # exact imports this module
+
+    return solve(inst, "greedy")
 
 
 def greedy_total_vector(inst: Instance) -> Solution:

@@ -68,7 +68,10 @@ def _oracle_cap() -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
 def _instance_from_args(args: argparse.Namespace) -> Instance:

@@ -1,11 +1,11 @@
 """Exact solvers for vector domination, and the one pipeline that runs them.
 
-:func:`solve` is how ``auto_solve``, the CLI and ``bench`` reach any
-solver.  The public solvers are thin entries onto the same solver bodies:
-each recognises its graph class, raising ``NotXError`` on a miss, and runs
-the pipeline's last three stages.  Every answer is certified once with
-:func:`~vecdom.feasibility.certify`.  ``brute_force_minimum`` is the
-reference oracle the others are validated against.
+:func:`solve` is the only way from an instance to an answer.  Every public
+solver here, the greedies, ``auto_solve``, the CLI and ``bench`` are one
+call to it, so a graph class is recognised once, and every answer is
+certified once with :func:`~vecdom.feasibility.certify`.
+``brute_force_minimum`` is the reference oracle the others are validated
+against.
 """
 
 from __future__ import annotations
@@ -68,13 +68,7 @@ def brute_force_minimum(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Soluti
         TooLargeError: the graph exceeds the size cap.
         InfeasibleError: no subset works (possible only under total scope).
     """
-    _require_fits(inst.graph, cap)
-    return _run(inst, "oracle")
-
-
-def _require_fits(g: Graph, cap: int) -> None:
-    if g.n > cap:
-        raise TooLargeError(f"{g.n} vertices exceed the exhaustive-search cap {cap}")
+    return solve(inst, "oracle", cap)
 
 
 def _oracle(inst: Instance, *_: object) -> Iterable[int]:
@@ -119,11 +113,6 @@ def _oracle(inst: Instance, *_: object) -> Iterable[int]:
     raise InfeasibleError("no vertex subset satisfies the instance")
 
 
-def _require_complete(g: Graph) -> None:
-    if not g.is_complete():
-        raise NotCompleteError(f"graph with n={g.n}, m={g.m} is not complete")
-
-
 def solve_complete_vector(g: Graph, demands: Sequence[int]) -> Solution:
     """Partial-scope solver for complete graphs.
 
@@ -132,8 +121,7 @@ def solve_complete_vector(g: Graph, demands: Sequence[int]) -> Solution:
     outside the prefix sees the whole prefix.  All-zero demands need
     nothing at all.
     """
-    _require_complete(g)
-    return _run(Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands)), "complete-vector")
+    return solve(Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands)), "complete")
 
 
 def _complete_vector(inst: Instance, *_: object) -> Iterable[int]:
@@ -167,8 +155,7 @@ def solve_complete_total(g: Graph, demands: Sequence[int]) -> Solution:
     Raises:
         InfeasibleError: some demand exceeds n - 1.
     """
-    _require_complete(g)
-    return _run(Instance(g, Neighborhood.OPEN, Scope.TOTAL, tuple(demands)), "complete-total")
+    return solve(Instance(g, Neighborhood.OPEN, Scope.TOTAL, tuple(demands)), "complete")
 
 
 def _complete_total(inst: Instance, *_: object) -> Iterable[int]:
@@ -183,14 +170,7 @@ def _complete_total(inst: Instance, *_: object) -> Iterable[int]:
     return range(top + 1)
 
 
-def _require_tree(g: Graph) -> None:
-    if not g.is_tree():
-        raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
-
-
-def solve_tree_vector(
-    g: Graph, demands: Sequence[int], check_invariant: bool = False
-) -> Solution:
+def solve_tree_vector(g: Graph, demands: Sequence[int]) -> Solution:
     """Linear-time partial-scope solver for trees.
 
     Vertices demanding more than their degree can never be served from
@@ -201,20 +181,17 @@ def solve_tree_vector(
     unit pulls in its parent.  Per-vertex counters of chosen children keep
     the sweep linear.
 
-    ``check_invariant`` re-verifies, after every step, that each processed
-    unchosen vertex already has enough chosen neighbours (for tests).
-
     Raises:
         NotATreeError: the graph is disconnected or has a cycle.
     """
-    _require_tree(g)
-    inst = Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands))
-    return _run(inst, "tree", check_invariant=check_invariant)
+    return solve(Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands)), "tree")
 
 
 def _tree(
     inst: Instance, cert: None, forced: list[int], k: Sequence[int], check_invariant: bool = False
 ) -> Iterable[int]:
+    # check_invariant re-verifies, after every step, that each processed
+    # unchosen vertex already has enough chosen neighbours (for tests)
     n = inst.graph.n
     adj = inst.graph._adj
     in_forced = bytearray(n)
@@ -232,10 +209,7 @@ def _tree(
         order = [start]
         visited[start] = 1
         parent[start] = start
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
+        for v in order:
             for u in adj[v]:
                 if not visited[u] and not in_forced[u]:
                     visited[u] = 1
@@ -323,7 +297,7 @@ def solve_cograph(inst: Instance) -> Solution:
     """
     if inst.neighborhood is not Neighborhood.OPEN:
         raise WrongVariantError("the cograph solver handles open neighbourhoods only")
-    return _run(inst, "cograph")
+    return solve(inst, "cograph")
 
 
 def _cograph(
@@ -415,43 +389,47 @@ def _cograph(
     return forced + [lift[v] for v in range(work.n) if in_set[v]]
 
 
-def _threshold_size_rows(
+def _threshold_takes(
     count: int,
     position_demand: list[int],
     kinds: tuple[str, ...],
     later_dom: tuple[int, ...],
-) -> list[list[int]]:
-    """Minimum sizes per (position, discount), discount up to the p-value.
+) -> list[list[bool]]:
+    """Per (position, discount), whether an optimal set takes that position's vertex.
 
-    Position i (0-based) covers the subgraph of the first i+1 ordered
-    vertices; a discount j promises j chosen vertices arriving later, all
-    adjacent (they are exactly the later dominating vertices, hence the
-    p-value cap).  A dominating vertex either stays out, requiring its
-    whole subgraph to hold enough chosen vertices, or goes in, raising the
-    discount below it by one.
+    The minimum sizes behind it run per position i (0-based), for the
+    subgraph of the first i+1 ordered vertices, and per discount j up to
+    the p-value: j chosen vertices arriving later, all adjacent (they are
+    exactly the later dominating vertices, hence the p-value cap).  An
+    isolated vertex is taken when the discount leaves it short.  A
+    dominating vertex either stays out, requiring its whole subgraph to
+    hold enough chosen vertices, or goes in, raising the discount below it
+    by one.
     """
-    rows: list[list[int]] = []
-    first = [1 if position_demand[0] > j else 0 for j in range(later_dom[0] + 1)]
-    rows.append(first)
+    prev = [1 if position_demand[0] > j else 0 for j in range(later_dom[0] + 1)]
+    takes = [[size == 1 for size in prev]]
     for i in range(1, count):
-        prev = rows[i - 1]
         ki = position_demand[i]
         pi = later_dom[i]
         if kinds[i] == "isolated":
             assert pi == later_dom[i - 1]
-            rows.append([prev[j] + (1 if ki > j else 0) for j in range(pi + 1)])
+            take = [ki > j for j in range(pi + 1)]
+            row = [prev[j] + take[j] for j in range(pi + 1)]
         else:
             assert later_dom[i - 1] == pi + 1, "discount column missing below"
-            row = []
+            take, row = [], []
             for j in range(pi + 1):
                 need = ki - j
                 stay = prev[j] if prev[j] >= need else need
                 step = 1 + prev[j + 1]
                 # staying out is only realisable when the i vertices below
                 # can physically supply the need; on ties the sizes agree
-                row.append(stay if need <= i and stay <= step else step)
-            rows.append(row)
-    return rows
+                taken = need > i or stay > step
+                take.append(taken)
+                row.append(step if taken else stay)
+        takes.append(take)
+        prev = row
+    return takes
 
 
 def solve_threshold_vector(g: Graph, demands: Sequence[int]) -> Solution:
@@ -459,7 +437,7 @@ def solve_threshold_vector(g: Graph, demands: Sequence[int]) -> Solution:
 
     Demands above the degree force their vertices into the answer, and the
     rest of the graph is solved along its elimination ordering with the
-    size table from :func:`_threshold_size_rows`.  The chosen branch at
+    size table behind :func:`_threshold_takes`.  The chosen branch at
     every step is then replayed upwards to reconstruct one optimal set;
     when the stay-out branch needs more chosen vertices than the smaller
     side already has, the gap is padded with the smallest-id vertices
@@ -468,9 +446,7 @@ def solve_threshold_vector(g: Graph, demands: Sequence[int]) -> Solution:
     Raises:
         NotThresholdError: the graph has no elimination ordering.
     """
-    ordering = threshold_elimination_order(g)
-    inst = Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands))
-    return _run(inst, "threshold", ordering)
+    return solve(Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands)), "threshold")
 
 
 def _threshold(inst: Instance, ordering, forced: list[int], k: Sequence[int]) -> Iterable[int]:
@@ -485,32 +461,22 @@ def _threshold(inst: Instance, ordering, forced: list[int], k: Sequence[int]) ->
     later = ordering.later_dominating
     count = sub.n
     position_demand = [k[order[i]] for i in range(count)]
-    rows = _threshold_size_rows(count, position_demand, kinds, later)
-    # trace the optimal branch from the top, then replay it bottom-up
-    steps: list[tuple[str, int, int]] = []
+    takes = _threshold_takes(count, position_demand, kinds, later)
+    # the discount each position is solved at, from 0 at the top down
+    discount = [0] * count
     j = 0
-    for i in range(count - 1, 0, -1):
-        ki = position_demand[i]
-        if kinds[i] == "isolated":
-            if ki > j:
-                steps.append(("take", i, j))
-        else:
-            need = ki - j
-            prev = rows[i - 1]
-            stay = prev[j] if prev[j] >= need else need
-            if need <= i and stay <= 1 + prev[j + 1]:
-                steps.append(("pad", i, j))
-            else:
-                steps.append(("take", i, j))
-                j += 1
+    for i in range(count - 1, -1, -1):
+        discount[i] = j
+        if takes[i][j] and kinds[i] == "dominating":
+            j += 1
+    # then the set bottom-up; a dominating vertex left out pads its need
+    # with the smallest ids below
     chosen_local: set[int] = set()
-    if position_demand[0] > j:
-        chosen_local.add(order[0])
-    for kind, i, jj in reversed(steps):
-        if kind == "take":
+    for i, j in enumerate(discount):
+        if takes[i][j]:
             chosen_local.add(order[i])
-        else:
-            need = position_demand[i] - jj - len(chosen_local)
+        elif kinds[i] == "dominating":
+            need = position_demand[i] - j - len(chosen_local)
             if need > 0:
                 pool = sorted(set(order[:i]) - chosen_local)
                 assert len(pool) >= need, "padding exceeded the available vertices"
@@ -530,25 +496,11 @@ _EXACT: dict[str, Callable[..., Iterable[int]]] = {
 }
 
 
-def _run(inst: Instance, method: str, cert=None, target=None, **options) -> Solution:
-    """Stages 3 to 5 for the solver named by ``method``; certify against ``target``."""
-    greedy = method in GREEDY_METHODS.values()
-    try:
-        forced, reduced = reduce_forced(inst)
-        if greedy:
-            solution = greedy_solution(inst, forced)
-        else:
-            chosen = _EXACT[method](inst, cert, forced, reduced, **options)
-            solution = Solution(frozenset(chosen), "feasible", "optimal", method)
-    except InfeasibleError as exc:
-        exc.method, exc.quality = method, "approx" if greedy else "optimal"
-        raise
-    certify(inst if target is None else target, solution.vertices, method)
-    return solution
-
-
 def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
-    """Stage 2: the solver to run, by ``Solution.method``, and its certificate."""
+    """Stage 2: the solver to run, by ``Solution.method``, and its certificate.
+
+    The one place that checks a named method's graph class and variant.
+    """
     g = inst.graph
     n = g.n
     partial = inst.scope is Scope.PARTIAL
@@ -573,7 +525,8 @@ def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
                 return "cograph", cotree
         return ("oracle" if n <= cap else greedy), None
     if method == "oracle":
-        _require_fits(g, cap)
+        if n > cap:
+            raise TooLargeError(f"{n} vertices exceed the exhaustive-search cap {cap}")
         return "oracle", None
     if method == "greedy":
         return greedy, None
@@ -582,14 +535,20 @@ def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
     if inst.neighborhood is not Neighborhood.OPEN:
         raise WrongVariantError(f"method {method!r} needs open neighbourhoods")
     if method == "cograph":
-        return "cograph", None
+        # a threshold graph's caterpillar comes off its ordering; any other
+        # graph's cotree is built by the solver, after the total-scope
+        # feasibility check, so an infeasible non-cograph reports infeasible
+        ordering = recognise(threshold_elimination_order, g) if n else None
+        return "cograph", None if ordering is None else threshold_cotree(ordering)
     if method == "complete":
-        _require_complete(g)
+        if not g.is_complete():
+            raise NotCompleteError(f"graph with n={n}, m={g.m} is not complete")
         return ("complete-vector" if partial else "complete-total"), None
     if not partial:
         raise WrongVariantError(f"method {method!r} needs partial scope")
     if method == "tree":
-        _require_tree(g)
+        if not g.is_tree():
+            raise NotATreeError(f"graph with n={n}, m={g.m} is not a tree")
         return "tree", None
     return "threshold", threshold_elimination_order(g)
 
@@ -597,13 +556,17 @@ def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
 def solve(inst: Instance, method: str = "auto", cap: int = DEFAULT_ORACLE_CAP) -> Solution:
     """Solve by one of :data:`METHODS`, in five stages.
 
+    Every public solver and greedy is one call to this function.
+
     1. Closed to open: closed neighbourhoods under partial scope become
        open ones; outside the set both count alike.
     2. Route: ``auto`` picks a solver as :func:`auto_solve` describes, any
        other method names one.  Recognition yields the certificate, a
        threshold ordering or a cotree, that the solver then uses.
     3. Reduce with :func:`~vecdom.variants.reduce_forced`.
-    4. Solve; only a subgraph left by forced vertices is recognised again.
+    4. Solve with the certificate.  Only a subgraph left by forced
+       vertices, and a graph sent to the cograph DP by name that is not a
+       threshold graph, are decomposed here.
     5. Certify the answer once, against the instance as given.
 
     A named method raises ``NotXError`` outside its class, ``WrongVariantError``
@@ -614,7 +577,19 @@ def solve(inst: Instance, method: str = "auto", cap: int = DEFAULT_ORACLE_CAP) -
     if inst.neighborhood is Neighborhood.CLOSED and inst.scope is Scope.PARTIAL:
         inst = replace(inst, neighborhood=Neighborhood.OPEN)
     route, cert = _route(inst, method, cap)
-    return _run(inst, route, cert, target)
+    greedy = route in GREEDY_METHODS.values()
+    try:
+        forced, reduced = reduce_forced(inst)
+        if greedy:
+            solution = greedy_solution(inst, forced)
+        else:
+            chosen = _EXACT[route](inst, cert, forced, reduced)
+            solution = Solution(frozenset(chosen), "feasible", "optimal", route)
+    except InfeasibleError as exc:
+        exc.method, exc.quality = route, "approx" if greedy else "optimal"
+        raise
+    certify(target, solution.vertices, route)
+    return solution
 
 
 def auto_solve(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:

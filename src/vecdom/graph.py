@@ -7,7 +7,6 @@ every mutation-like operation returns a new graph.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -196,13 +195,10 @@ def _bfs_order(g: Graph, root: int) -> list[int]:
     seen = bytearray(g.n)
     seen[root] = 1
     order = [root]
-    queue = deque((root,))
     adj = g._adj
-    while queue:
-        v = queue.popleft()
+    for v in order:  # the list grows as it is walked: it is its own queue
         for u in adj[v]:
             if not seen[u]:
                 seen[u] = 1
                 order.append(u)
-                queue.append(u)
     return order

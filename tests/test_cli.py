@@ -259,6 +259,41 @@ def test_argument_error_exits_two(case, tmp_path, capsys) -> None:
     assert "Traceback" not in captured.err
 
 
+# every file the CLI reads, each in one command that reads it
+NOT_UTF8_CASES = [
+    ("solve", "graph"),
+    ("solve", "demands"),
+    ("verify", "graph"),
+    ("verify", "demands"),
+    ("verify", "set"),
+    ("gadget", "graph"),
+]
+
+
+@pytest.mark.parametrize("command, bad", NOT_UTF8_CASES)
+def test_non_utf8_file_exits_two(command, bad, tmp_path, capsys) -> None:
+    files = {
+        "graph": _write(tmp_path, "c4.gr", C4),
+        "demands": _write(tmp_path, "ones.dem", "1 1\n2 1\n3 1\n4 1\n"),
+        "set": _write(tmp_path, "set.txt", "1 3\n"),
+    }
+    Path(files[bad]).write_bytes(b"1\n\xff\n")
+    argv = {
+        "solve": ["solve", files["graph"], "--variant", "vector-domination", "--demands", files["demands"]],
+        "verify": [
+            "verify", files["graph"], "--variant", "vector-domination",
+            "--demands", files["demands"], "--set", files["set"],
+        ],
+        "gadget": ["gadget", files["graph"], "--construction", "replicate", "--copies", "2"],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert files[bad] in lines[0]
+
+
 def test_parser_built_once_and_flags_do_not_leak(c4_file, tmp_path, monkeypatch, capsys) -> None:
     built, build = [], cli.build_parser
 

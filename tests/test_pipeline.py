@@ -340,3 +340,102 @@ def test_auto_solve_recognises_and_certifies_once(case, counts) -> None:
     auto_solve(inst)
     names = ("threshold_elimination_order", "build_modified_cotree", "is_tree", "is_feasible")
     assert tuple(counts[name] for name in names) == expected
+
+
+def _entry_cases() -> dict[str, tuple[object, tuple[int, int, int, int]]]:
+    """Calls to each public entry on the instances of ``_cases``, with its counts.
+
+    Each entry runs through ``solve``, so it recognises only its own class
+    and certifies once.  ``solve_cograph`` reads a threshold graph's cotree
+    off its ordering and builds a general cotree only for other cographs
+    and for what forced vertices leave.
+    """
+    inst = {name: instance for name, (instance, _) in CASES.items()}
+
+    def on_pair(entry, case):
+        return lambda: entry(inst[case].graph, inst[case].demands)
+
+    def on_instance(entry, case):
+        return lambda: entry(inst[case])
+
+    return {
+        "solve_tree_vector": (on_pair(solve_tree_vector, "tree"), (0, 0, 1, 1)),
+        "solve_threshold_vector": (on_pair(solve_threshold_vector, "threshold partial"), (1, 0, 0, 1)),
+        "solve_threshold_vector forced": (
+            on_pair(solve_threshold_vector, "threshold partial forced"), (2, 0, 0, 1)
+        ),
+        "solve_complete_vector": (on_pair(solve_complete_vector, "complete total"), (0, 0, 0, 1)),
+        "solve_complete_total": (on_pair(solve_complete_total, "complete total"), (0, 0, 0, 1)),
+        "brute_force_minimum": (on_instance(brute_force_minimum, "oracle"), (0, 0, 0, 1)),
+        "greedy_vector_domination": (
+            on_instance(greedy_vector_domination, "greedy partial"), (0, 0, 0, 1)
+        ),
+        "greedy_total_vector": (on_instance(greedy_total_vector, "greedy total"), (0, 0, 0, 1)),
+        "greedy_multiple_domination": (
+            on_instance(greedy_multiple_domination, "greedy closed total"), (0, 0, 0, 1)
+        ),
+        **{
+            f"solve_cograph {case}": (on_instance(solve_cograph, case), expected)
+            for case, expected in (
+                ("threshold partial", (1, 0, 0, 1)),
+                ("threshold partial forced", (1, 1, 0, 1)),
+                ("threshold total", (1, 0, 0, 1)),
+                ("cograph partial", (1, 1, 0, 1)),
+                ("cograph partial forced", (1, 2, 0, 1)),
+                ("cograph total", (1, 1, 0, 1)),
+            )
+        },
+    }
+
+
+ENTRY_CASES = _entry_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+def test_each_entry_recognises_and_certifies_once(case, counts) -> None:
+    call, expected = ENTRY_CASES[case]
+    call()
+    names = ("threshold_elimination_order", "build_modified_cotree", "is_tree", "is_feasible")
+    assert tuple(counts[name] for name in names) == expected
+
+
+# approx reaches solve through an import at call time; a fresh interpreter
+# that imports only approx must still run every greedy
+_GREEDIES_ALONE = """
+from vecdom.approx import (greedy_multiple_domination, greedy_total_vector,
+                           greedy_vector_domination)
+from vecdom.graph import cycle_graph
+from vecdom.variants import Instance, Neighborhood, Scope
+g = cycle_graph(7)
+k = (1, 2, 1, 0, 2, 1, 1)
+for greedy, nbhd, scope in (
+    (greedy_total_vector, Neighborhood.OPEN, Scope.TOTAL),
+    (greedy_multiple_domination, Neighborhood.CLOSED, Scope.TOTAL),
+    (greedy_vector_domination, Neighborhood.OPEN, Scope.PARTIAL),
+):
+    sol = greedy(Instance(g, nbhd, scope, k))
+    print(sol.method, sorted(sol.vertices))
+"""
+
+
+def test_greedies_run_when_only_approx_is_imported() -> None:
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _GREEDIES_ALONE],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(root / "src")},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    g = cycle_graph(7)
+    k = (1, 2, 1, 0, 2, 1, 1)
+    expected = [
+        f"{sol.method} {sorted(sol.vertices)}"
+        for sol in (
+            greedy_total_vector(Instance(g, OPEN, TOTAL, k)),
+            greedy_multiple_domination(Instance(g, CLOSED, TOTAL, k)),
+            greedy_vector_domination(Instance(g, OPEN, PARTIAL, k)),
+        )
+    ]
+    assert done.stdout.splitlines() == expected
