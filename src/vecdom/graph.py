@@ -7,6 +7,8 @@ every mutation-like operation returns a new graph.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -37,7 +39,7 @@ class Graph:
         self.n = len(adjacency)
         self.m = m
         self._adj = adjacency
-        self._maxdeg = max((len(row) for row in adjacency), default=0)
+        self._maxdeg = max(map(len, adjacency), default=0)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -49,7 +51,7 @@ class Graph:
         return self._maxdeg
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self._adj)
+        return tuple(map(len, self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self._adj[u]
@@ -99,10 +101,34 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise OutOfRangeError(f"vertex count must be non-negative, got {n}")
+    pairs = list(edges)
+    return _graph_from_ends(n, list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
+
+
+def _graph_from_ends(n: int, tails: list[int], heads: list[int]) -> Graph:
+    """``build_graph`` on the edge list's two columns: edge i is (tails[i], heads[i])."""
+    # bulk checks, then a rescan in edge order for the first error; in range,
+    # u * n + v keys the arc u -> v: a repeated edge repeats or reverses an
+    # arc, and a self-loop reverses its own
+    if tails and (
+        min(min(tails), min(heads)) < 0
+        or max(max(tails), max(heads)) >= n
+        or len(arcs := set(map(add, map(mul, tails, repeat(n)), heads))) < len(tails)
+        or not arcs.isdisjoint(map(add, map(mul, heads, repeat(n)), tails))
+    ):
+        _raise_first_error(n, tails, heads)
     adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(tails, heads):
+        adj[u].append(v)
+        adj[v].append(u)
+    for row in adj:
+        row.sort()
+    return Graph(tuple(map(tuple, adj)), len(tails))
+
+
+def _raise_first_error(n: int, tails: list[int], heads: list[int]) -> None:
     seen: set[tuple[int, int]] = set()
-    m = 0
-    for u, v in edges:
+    for u, v in zip(tails, heads):
         if not (0 <= u < n and 0 <= v < n):
             raise OutOfRangeError(f"edge ({u}, {v}) leaves the range 0..{n - 1}")
         if u == v:
@@ -111,12 +137,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if key in seen:
             raise DuplicateEdgeError(f"edge ({u}, {v}) appears more than once")
         seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-        m += 1
-    for row in adj:
-        row.sort()
-    return Graph(tuple(tuple(row) for row in adj), m)
 
 
 def complete_graph(n: int) -> Graph:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
+from operator import sub
 from typing import Sequence
 
 from .errors import (
@@ -18,7 +20,7 @@ from .errors import (
     NegativeDemandError,
     OutOfRangeError,
 )
-from .graph import Graph, build_graph
+from .graph import Graph, _graph_from_ends, build_graph
 
 __all__ = [
     "MAX_VERTICES",
@@ -45,6 +47,22 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
+# Blank lines, comments, the header and plain lines (numbers of at most nine
+# digits, which int() always reads, split by spaces or tabs) are read in bulk:
+# one split, int over the fields.  Other text goes line by line, as before.
+_COMMENT_LINE = re.compile(r"^[^\S\n]*c[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", re.M)
+_HEADER = re.compile(r"\s*p[ \t]+edge[ \t]+([0-9]{1,9})[ \t]+([0-9]{1,9})[ \t\r]*(?=\n|\Z)")
+# a newline followed by neither a blank line nor one plain line of the kind
+_ODD_LINE = r"\n(?![ \t]*%s[ \t\r]*(?:\n|\Z)|[^\S\n]*(?:\n|\Z))"
+_ODD_EDGE_LINE = re.compile(_ODD_LINE % r"e[ \t]+[0-9]{1,9}[ \t]+[0-9]{1,9}")
+_ODD_DEMAND_LINE = re.compile(_ODD_LINE % r"[0-9]{1,9}[ \t]+[0-9]{1,9}")
+
+
+def _without_comments(text: str) -> str:
+    # a comment ends at any line break splitlines knows; a plain line has no c
+    return _COMMENT_LINE.sub("", text) if "c" in text else text
+
+
 def parse_graph(text: str) -> Graph:
     """Read a graph: comments "c ...", one "p edge <n> <m>", then e-lines.
 
@@ -55,6 +73,21 @@ def parse_graph(text: str) -> Graph:
             number of e-lines.
         OutOfRangeError, SelfLoopError, DuplicateEdgeError: bad edges.
     """
+    body = _without_comments(text)
+    header = _HEADER.match(body)
+    if header is None or _ODD_EDGE_LINE.search(body, header.end()):
+        return _parse_graph_by_line(text)
+    fields = body.split()
+    n, m = int(header[1]), int(header[2])
+    if n > MAX_VERTICES or len(fields) != 4 + 3 * m:
+        return _parse_graph_by_line(text)
+    tails = list(map(sub, map(int, fields[5::3]), repeat(1)))  # ids from 0
+    heads = list(map(sub, map(int, fields[6::3]), repeat(1)))
+    del fields  # free the tokens before the graph is built
+    return _graph_from_ends(n, tails, heads)
+
+
+def _parse_graph_by_line(text: str) -> Graph:
     n = None
     declared_m = 0
     edges: list[tuple[int, int]] = []
@@ -111,6 +144,18 @@ def parse_demands(text: str, g: Graph) -> tuple[int, ...]:
         NegativeDemandError: a negative demand.
         DuplicateVertexError: the same vertex appears twice.
     """
+    body = _without_comments(text)
+    if _ODD_DEMAND_LINE.search("\n" + body):  # the first line too
+        return _parse_demands_by_line(text, g)
+    fields = body.split()
+    ids = list(map(int, fields[0::2]))
+    listed = dict(zip(ids, map(int, fields[1::2])))
+    if ids and (min(ids) < 1 or max(ids) > g.n or len(listed) < len(ids)):
+        return _parse_demands_by_line(text, g)
+    return tuple(map(listed.get, range(1, g.n + 1), repeat(0)))
+
+
+def _parse_demands_by_line(text: str, g: Graph) -> tuple[int, ...]:
     demands = [0] * g.n
     seen: set[int] = set()
     for number, line in _content_lines(text):

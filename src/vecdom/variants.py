@@ -18,7 +18,6 @@ arithmetic, never floats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -91,9 +90,7 @@ class ExplicitThreshold:
 
     def __post_init__(self) -> None:
         demands = tuple(self.demands)
-        for v, k in enumerate(demands):
-            if k < 0:
-                raise NegativeDemandError(f"demand {k} at vertex {v} is negative")
+        _check_signs(demands)
         object.__setattr__(self, "demands", demands)
 
 
@@ -132,24 +129,18 @@ class Instance:
             raise MissingParamError(
                 f"expected {self.graph.n} demands, got {len(self.demands)}"
             )
-        for v, k in enumerate(self.demands):
-            if k < 0:
-                raise NegativeDemandError(f"demand {k} at vertex {v} is negative")
+        _check_signs(self.demands)
+
+
+def _check_signs(demands: Sequence[int]) -> None:
+    if demands and min(demands) < 0:
+        v = next(v for v, k in enumerate(demands) if k < 0)
+        raise NegativeDemandError(f"demand {demands[v]} at vertex {v} is negative")
 
 
 def demand_bound(neighborhood: Neighborhood, degree: int) -> int:
     """Largest demand a vertex of the given degree can definitionally meet."""
     return degree + 1 if neighborhood is Neighborhood.CLOSED else degree
-
-
-def _compile_demand(
-    inequality: Inequality, alpha: Fraction, count: int
-) -> int:
-    """Smallest integer c with c >= alpha*count (weak) or c > alpha*count."""
-    scaled = alpha * count
-    if inequality is Inequality.WEAK:
-        return math.ceil(scaled)
-    return math.floor(scaled) + 1
 
 
 def compile_variant(g: Graph, spec: VariantSpec) -> Instance:
@@ -164,14 +155,13 @@ def compile_variant(g: Graph, spec: VariantSpec) -> Instance:
             )
         demands = t.demands
     else:
-        demands = tuple(
-            _compile_demand(
-                spec.inequality,
-                t.alpha,
-                demand_bound(spec.neighborhood, g.degree(v)),
-            )
-            for v in range(g.n)
-        )
+        # the smallest integer >= alpha*count (weak) or > alpha*count (strict),
+        # (p*count + q - 1) // q or (p*count + q) // q, once per distinct degree
+        p, q = t.alpha.numerator, t.alpha.denominator
+        top = q - 1 if spec.inequality is Inequality.WEAK else q
+        degrees = g.degrees()
+        rule = {d: (p * demand_bound(spec.neighborhood, d) + top) // q for d in set(degrees)}
+        demands = tuple(map(rule.__getitem__, degrees))
     return Instance(g, spec.neighborhood, spec.scope, demands)
 
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import vecdom
 from vecdom import cli, feasibility
@@ -379,3 +383,76 @@ class TestOracleCapEnv:
         code = main(["solve", c4_file, "--variant", "domination", "--method", "oracle"])
         assert code == EXIT_OK
         assert _record(capsys)["size"] == 2
+
+
+# -- fuzzed input files ------------------------------------------------------
+
+_FUZZ_TOKENS = ["p", "edge", "e", "c", "x", "0", "1", "2", "3", "5", "8", "-1", "1/2", "+2", "99999999999"]
+_FUZZ_SEPS = [" ", " ", "\t", "\n", "\n", "\r\n", "\r", "\x1e"]
+
+
+@st.composite
+def _garbage(draw: st.DrawFn) -> bytes:
+    """Tokens and separators in any order, or any bytes at all."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    # a separator after every token, so digits never run into large counts
+    parts = draw(st.lists(st.tuples(st.sampled_from(_FUZZ_TOKENS), st.sampled_from(_FUZZ_SEPS)), max_size=15))
+    return "".join(t + s for t, s in parts).encode(draw(st.sampled_from(["utf-8", "utf-16"])))
+
+
+@st.composite
+def _fuzz_files(draw: st.DrawFn) -> tuple[bytes, bytes]:
+    """A graph file and a demand file: well formed, one line mutilated, or garbage."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    m = len(edges) if draw(st.integers(0, 9)) else draw(st.integers(0, 12))
+    graph = [f"p edge {n} {m}"] + [f"e {u} {v}" for u, v in edges]
+    listed = draw(st.lists(st.integers(1, n), unique=True))
+    demands = [f"{v} {draw(st.integers(0, 3))}" for v in listed]
+    for lines in (graph, demands):
+        if draw(st.integers(0, 3)) == 0:  # one mutilated line
+            bad = " ".join(draw(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=4)))
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+    sep = draw(st.sampled_from(["\n", "\r\n", "\n\n", " \n"]))
+    files = [sep.join(graph).encode(), sep.join(demands).encode()]
+    if draw(st.integers(0, 4)) == 0:
+        files[draw(st.integers(0, 1))] = draw(_garbage())
+    return files[0], files[1]
+
+
+_FUZZ_COMMANDS = [
+    ["--variant", "vector-domination", "--demands", "{demands}"],
+    ["--demands", "{demands}"],
+    ["--variant", "total-vector-domination", "--demands", "{demands}", "--method", "greedy"],
+    ["--variant", "multiple-domination", "--demands", "{demands}"],
+    ["--variant", "k-domination", "--k", "2"],
+    ["--variant", "alpha-domination", "--alpha", "2/3"],
+    ["--variant", "strict-total-alpha-domination", "--alpha", "1/2"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(_fuzz_files(), st.sampled_from(_FUZZ_COMMANDS))
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_files_exit_cleanly(fuzz_dir: Path, files: tuple[bytes, bytes], flags: list[str]) -> None:
+    """Whatever bytes the files hold, `solve` ends with an exit code 0-3 and
+    never a traceback."""
+    graph, demands = files
+    graph_path, demand_path = fuzz_dir / "fuzz.gr", fuzz_dir / "fuzz.dem"
+    graph_path.write_bytes(graph)
+    demand_path.write_bytes(demands)
+    argv = ["solve", str(graph_path)] + [f.format(demands=demand_path) for f in flags]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_CERTIFICATION)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        assert json.loads(out.getvalue())["feasible"] is True

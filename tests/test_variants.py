@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from vecdom import (
     FractionThreshold,
+    Graph,
     Inequality,
     Neighborhood,
     Scope,
@@ -140,6 +142,38 @@ class TestCompile:
         )
         for v in range(g.n):
             assert inst.demands[v] == (1 if g.degree(v) > 0 else 0)
+
+
+def _compile_demand(inequality: Inequality, scaled: Fraction) -> int:
+    """The rational rule: smallest c with c >= alpha*count (weak) or c > alpha*count,
+    given ``scaled`` = alpha*count."""
+    if inequality is Inequality.WEAK:
+        return math.ceil(scaled)
+    return math.floor(scaled) + 1
+
+
+def test_integer_compile_matches_fraction_rule() -> None:
+    """compile_variant's integer arithmetic equals the Fraction rule on every
+    degree 0..2000, every reduced p/q with q <= 40, and two awkward
+    fractions, weak and strict, open and closed."""
+    top = 2000
+    # rows need only their lengths here: row d has degree d
+    base = tuple(range(top))
+    g = Graph(tuple(base[:d] for d in range(top + 1)), 0)
+    alphas = [Fraction(p, q) for q in range(1, 41) for p in range(1, q + 1) if math.gcd(p, q) == 1]
+    alphas += [Fraction(999, 1000), Fraction(1, 997)]
+    checked = 0
+    for alpha in alphas:
+        # a closed vertex of degree d counts d + 1, so one row serves both
+        scaled = [alpha * count for count in range(top + 2)]
+        for inequality in Inequality:
+            expected = [_compile_demand(inequality, x) for x in scaled]
+            for neighborhood, shift in ((Neighborhood.OPEN, 0), (Neighborhood.CLOSED, 1)):
+                spec = VariantSpec(neighborhood, Scope.PARTIAL, inequality, FractionThreshold(alpha))
+                demands = compile_variant(g, spec).demands
+                assert list(demands) == expected[shift:shift + top + 1], (alpha, inequality, neighborhood)
+                checked += 1
+    assert checked == 4 * len(alphas)
 
 
 class TestNamedVariant:
