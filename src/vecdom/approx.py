@@ -11,14 +11,18 @@ largest marginal gain until the potential tops out.  The guarantee is
 ``ln(best single-vertex value) + 1``, which never exceeds
 ``ln(2 * max degree) + 1``.
 
-Both greedies evaluate lazily (Minoux's accelerated greedy).  A
-candidate's score never rises as the solution grows: the multicover
-score only loses elements, and the coverage potential is submodular.  So
-a score computed in an earlier round is an upper bound on today's, and a
-candidate whose fresh score still equals its stale key beats every other
-candidate.  Keying the heap on ``(-score, id)`` keeps the eager
-tie-break, so the picks, their order and the guarantees are exactly
-those of the greedy that rescans every candidate each round.
+Both greedies keep every candidate's score exact as the solution grows,
+in O(size of the input) over the whole run: a multicover set's score
+drops by one when one of its elements is met, and the coverage
+potential's gains are kept by :class:`~vecdom.feasibility.CoverageState`.
+The queue of candidates stays lazy (Minoux's accelerated greedy).  A
+score never rises, since the multicover score only loses elements and
+the coverage potential is submodular, so a queue key from an earlier
+round is an upper bound on today's score, and a candidate whose score
+still equals its key beats every other candidate.  Keys are buckets of
+equal score, each a min-heap of ids, which keeps the eager tie-break, so
+the picks, their order and the guarantees are exactly those of the
+greedy that rescans every candidate each round.
 """
 
 from __future__ import annotations
@@ -62,23 +66,33 @@ def _lazy_picks(
 ) -> Iterator[int]:
     """Candidates in eager greedy order: best current score, smallest id.
 
-    ``initial`` holds ``(id, score)`` pairs at the start.  The caller
-    commits each yielded candidate before asking for the next, and no
-    commit may raise any other candidate's score.  Candidates whose score
-    drops to zero are dropped, as the eager greedy never takes them.
+    ``initial`` holds ``(id, score)`` pairs at the start, ids ascending.
+    The caller commits each yielded candidate before asking for the next,
+    and no commit may raise any other candidate's score.  Candidates whose
+    score drops to zero are dropped, as the eager greedy never takes them.
+
+    Each candidate waits in the bucket of a score it once had, a min-heap
+    of ids.  The top bucket's smallest id is re-scored: if its score still
+    equals the bucket's, it has the best score and the smallest id among
+    the candidates with that score, and it is picked; otherwise it moves
+    down to the bucket of its current score.
     """
-    heap = [(-s, i) for i, s in initial if s > 0]
-    heapq.heapify(heap)
-    while heap:
-        stale, i = heap[0]
+    waiting = [(i, s) for i, s in initial if s > 0]
+    buckets: list[list[int]] = [[] for _ in range(max((s for _, s in waiting), default=0) + 1)]
+    for i, s in waiting:
+        buckets[s].append(i)  # ascending, so already a heap
+    top = len(buckets) - 1
+    while top > 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        i = heapq.heappop(bucket)
         fresh = score(i)
-        if fresh == -stale:
-            heapq.heappop(heap)
+        if fresh == top:
             yield i
         elif fresh > 0:
-            heapq.heapreplace(heap, (-fresh, i))
-        else:
-            heapq.heappop(heap)
+            heapq.heappush(buckets[fresh], i)
 
 
 @dataclass(frozen=True)
@@ -113,37 +127,40 @@ def greedy_multicover(mc: MulticoverInstance) -> tuple[int, ...]:
         InfeasibleError: some element appears in fewer sets than required,
             or no set still covers an element with unmet requirement.
     """
-    return _multicover(mc.family, mc.requirements)
+    holders: list[list[int]] = [[] for _ in range(mc.universe_size)]
+    for i, s in enumerate(mc.family):
+        for u in s:
+            holders[u].append(i)
+    return _multicover(mc.family, holders, mc.requirements)
 
 
 def _multicover(
-    family: Sequence[Sequence[int]], requirements: Sequence[int]
+    family: Sequence[Sequence[int]],
+    holders: Sequence[Sequence[int]],
+    requirements: Sequence[int],
 ) -> tuple[int, ...]:
-    """:func:`greedy_multicover` on a family already known to be well formed."""
-    membership = [0] * len(requirements)
-    for s in family:
-        for u in s:
-            membership[u] += 1
-    for u, req in enumerate(requirements):
-        if req > membership[u]:
-            raise InfeasibleError(
-                f"element {u} needs {req} sets but appears in only {membership[u]}"
-            )
+    """:func:`greedy_multicover` on a well-formed family; ``holders[u]`` lists u's sets."""
+    for u, (req, have) in enumerate(zip(requirements, map(len, holders))):
+        if req > have:
+            raise InfeasibleError(f"element {u} needs {req} sets but appears in only {have}")
     remaining = list(requirements)
     outstanding = sum(remaining)
     if outstanding == 0:
         return ()
+    # live[i]: the elements of set i whose requirement is still unmet
+    positive = [req > 0 for req in remaining]
+    live = [sum(map(positive.__getitem__, s)) for s in family]
     picks: list[int] = []
-
-    def score(i: int) -> int:
-        return sum(1 for u in family[i] if remaining[u] > 0)
-
-    for best in _lazy_picks(((i, score(i)) for i in range(len(family))), score):
+    for best in _lazy_picks(enumerate(live), live.__getitem__):
         picks.append(best)
         for u in family[best]:
-            if remaining[u] > 0:
-                remaining[u] -= 1
+            left = remaining[u]
+            if left > 0:
+                remaining[u] = left - 1
                 outstanding -= 1
+                if left == 1:
+                    for i in holders[u]:
+                        live[i] -= 1
         if outstanding == 0:
             return tuple(picks)
     raise InfeasibleError(
@@ -208,18 +225,20 @@ def greedy_solution(inst: Instance, forced: Sequence[int]) -> Solution:
     is known to fit; partial scope grows the set from ``forced``.
     """
     g = inst.graph
-    demands = inst.demands
     method = GREEDY_METHODS[(inst.scope, inst.neighborhood)]
     if inst.scope is Scope.TOTAL:
         family, largest = g._adj, g.max_degree()
         if inst.neighborhood is Neighborhood.CLOSED:
-            family = tuple(tuple(sorted(row + (v,))) for v, row in enumerate(family))
+            family = [row + (v,) for v, row in enumerate(family)]
             largest += 1
-        # Graph rows are in range and duplicate-free: nothing to validate
-        picks = _multicover(family, demands)
+        # Graph rows are in range and duplicate-free: nothing to validate.
+        # Neighbourhoods are symmetric: the sets holding u are N(u), or N[u]
+        picks = _multicover(family, family, inst.demands)
         bound = _harmonic_style_bound(largest)
         return Solution(frozenset(picks), "feasible", "approx", method, bound)
     state = CoverageState(inst)
+    # best single-vertex potential: the largest gain from the empty set
+    best_single = max(state.gains, default=0)
     for v in forced:
         state.add(v)
     target = coverage_target(inst)
@@ -233,14 +252,6 @@ def greedy_solution(inst: Instance, forced: Sequence[int]) -> Solution:
             raise CertificationError(
                 f"potential stuck at {state.value} below its maximum {target}"
             )
-    # best single-vertex potential: own demand plus one per demanding neighbour
-    best_single = max(
-        (
-            demands[v] + sum(1 for u in g.neighbors(v) if demands[u] > 0)
-            for v in range(g.n)
-        ),
-        default=0,
-    )
     bound = _harmonic_style_bound(best_single)
     coarse = _harmonic_style_bound(2 * g.max_degree())
     return Solution(frozenset(state.members), "feasible", "approx", method, bound, coarse)

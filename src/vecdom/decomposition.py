@@ -92,7 +92,7 @@ def _components_within(g: Graph, verts: list[int], complement: bool) -> list[lis
         unseen.discard(start)
         comp = [start]
         stack = [start]
-        while stack:
+        while stack and unseen:
             nbrs = g.neighbors(stack.pop())
             nxt = unseen.difference(nbrs) if complement else unseen.intersection(nbrs)
             if nxt:
@@ -115,6 +115,13 @@ def build_modified_cotree(g: Graph) -> CotreeNode:
 
     The splits run depth first on an explicit stack, and the nodes are
     built bottom-up after them, so no depth meets the recursion limit.
+    Each node takes one split, a walk over its induced subgraph or over
+    its complement; only the root may need both.  A union's parts are
+    connected and a join's parts co-connected, so neither is checked
+    again.  A connected vertex set whose complement splits is a complete
+    bipartite join, in which some vertex sees half the set, so a set
+    larger than twice the maximum degree fails without its complement
+    walk.
 
     Raises:
         NotCographError: some induced subgraph with at least two vertices
@@ -123,22 +130,26 @@ def build_modified_cotree(g: Graph) -> CotreeNode:
     """
     if g.n == 0:
         raise NotCographError("cannot decompose the empty graph")
+    most = g.max_degree()
     splits: list[tuple[list[int], str, list[list[int]]]] = []  # depth-first preorder
-    stack = [list(g.vertices())]
+    # each vertex set with the kind of split that made it: a part of a
+    # union is connected, a part of a join co-connected
+    stack = [(list(g.vertices()), "")]
     while stack:
-        verts = stack.pop()
+        verts, made_by = stack.pop()
         if len(verts) == 1:
             splits.append((verts, "leaf", []))
             continue
-        kind, parts = "union", _components_within(g, verts, False)
-        if len(parts) == 1:
+        kind = "union"
+        parts = [] if made_by == "union" else _components_within(g, verts, False)
+        if len(parts) < 2 and made_by != "join" and 2 * most >= len(verts):
             kind, parts = "join", _components_within(g, verts, True)
-            if len(parts) == 1:
-                raise NotCographError(
-                    f"vertices {tuple(verts)} induce a connected, co-connected subgraph"
-                )
+        if len(parts) < 2:
+            raise NotCographError(
+                f"vertices {tuple(verts)} induce a connected, co-connected subgraph"
+            )
         splits.append((verts, kind, parts))
-        stack.extend(reversed(parts))
+        stack.extend((part, kind) for part in reversed(parts))
     # reverse preorder builds each subtree before its parent, the last child first
     built: list[CotreeNode] = []
     for verts, kind, parts in reversed(splits):

@@ -10,7 +10,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -99,18 +99,36 @@ def _oracle(inst: Instance, *_: object) -> Iterable[int]:
             smallest += 1
     check = [(v, demands[v], masks[v]) for v in checklist]
     for size in range(smallest, n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
+        if n <= _CACHED_MASKS:
+            subsets: Iterable[int] = _subset_masks(n, size)
+        else:
+            subsets = map(_mask_of, combinations(range(n), size))
+        for mask in subsets:
             for v, need, nbrs in check:
                 if not total and (mask >> v) & 1:
                     continue
                 if (nbrs & mask).bit_count() < need:
                     break
             else:
-                return combo
+                return [v for v in range(n) if (mask >> v) & 1]
     raise InfeasibleError("no vertex subset satisfies the instance")
+
+
+def _mask_of(combo: tuple[int, ...]) -> int:
+    mask = 0
+    for v in combo:
+        mask |= 1 << v
+    return mask
+
+
+# the oracle's subset masks are kept for graphs up to this size: 2^n masks each
+_CACHED_MASKS = 12
+
+
+@cache
+def _subset_masks(n: int, size: int) -> tuple[int, ...]:
+    """The masks of the ``size``-subsets of ``range(n)``, in lexicographic order."""
+    return tuple(map(_mask_of, combinations(range(n), size)))
 
 
 def solve_complete_vector(g: Graph, demands: Sequence[int]) -> Solution:
@@ -575,7 +593,7 @@ def solve(inst: Instance, method: str = "auto", cap: int = DEFAULT_ORACLE_CAP) -
     """
     target = inst
     if inst.neighborhood is Neighborhood.CLOSED and inst.scope is Scope.PARTIAL:
-        inst = replace(inst, neighborhood=Neighborhood.OPEN)
+        inst = Instance(inst.graph, Neighborhood.OPEN, inst.scope, inst.demands)
     route, cert = _route(inst, method, cap)
     greedy = route in GREEDY_METHODS.values()
     try:

@@ -14,6 +14,7 @@ for a submodular-cover greedy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable
 
 from .errors import AlreadyInSetError, CertificationError, WrongVariantError
@@ -139,11 +140,15 @@ def coverage_value(inst: Instance, chosen: Iterable[int]) -> int:
 class CoverageState:
     """Incrementally maintained coverage potential for a growing set.
 
-    Adding a vertex w updates the per-vertex counters of its neighbours
-    only, so both ``add`` and ``gain`` cost time proportional to deg(w).
+    ``gains[w]`` is kept equal to the potential increase from adding an
+    unchosen w: its own deficit plus one per *needy* neighbour, one that
+    is unchosen and still short of its demand.  ``gain`` is an O(1) read.
+    ``add(w)`` costs O(deg w), plus O(deg u) for each neighbour u it
+    fills, which happens once per vertex, so a whole greedy run costs
+    O(n + m).  Gains of chosen vertices are not kept.
     """
 
-    __slots__ = ("instance", "members", "counts", "value")
+    __slots__ = ("instance", "members", "counts", "value", "gains", "needy")
 
     def __init__(self, instance: Instance) -> None:
         _require_partial_open(instance, "the coverage potential")
@@ -151,29 +156,33 @@ class CoverageState:
         self.members: set[int] = set()
         self.counts = [0] * instance.graph.n
         self.value = 0
+        self.needy = [k > 0 for k in instance.demands]
+        needy_around = (sum(map(self.needy.__getitem__, row)) for row in instance.graph._adj)
+        self.gains = list(map(add, instance.demands, needy_around))
 
     def gain(self, w: int) -> int:
         """Potential increase from adding w, without adding it."""
         if w in self.members:
             raise AlreadyInSetError(f"vertex {w} is already chosen")
-        demands = self.instance.demands
-        counts = self.counts
-        members = self.members
-        total = demands[w] - min(counts[w], demands[w])
-        for u in self.instance.graph.neighbors(w):
-            if u not in members and counts[u] < demands[u]:
-                total += 1
-        return total
+        return self.gains[w]
 
     def add(self, w: int) -> None:
         if w in self.members:
             raise AlreadyInSetError(f"vertex {w} is already chosen")
+        adj = self.instance.graph._adj
         demands = self.instance.demands
-        counts = self.counts
-        members = self.members
-        self.value += demands[w] - min(counts[w], demands[w])
-        for u in self.instance.graph.neighbors(w):
-            if u not in members and counts[u] < demands[u]:
-                self.value += 1
+        counts, gains, needy = self.counts, self.gains, self.needy
+        self.value += gains[w]
+        self.members.add(w)
+        if needy[w]:
+            needy[w] = False
+            for x in adj[w]:
+                gains[x] -= 1
+        for u in adj[w]:
             counts[u] += 1
-        members.add(w)
+            if needy[u]:
+                gains[u] -= 1
+                if counts[u] == demands[u]:
+                    needy[u] = False
+                    for x in adj[u]:
+                        gains[x] -= 1

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, gt
 from typing import Sequence
 
 from .errors import (
@@ -250,22 +252,27 @@ def reduce_forced(inst: Instance) -> tuple[list[int], Sequence[int]]:
     Under partial scope every feasible set holds the over-demanded
     vertices; each other demand drops by one per forced neighbour, never
     below zero.  Under total scope nothing is forced, and the whole vertex
-    set is feasible unless some vertex is over-demanded.
+    set is feasible unless some vertex is over-demanded.  When nothing is
+    forced, the demands come back as given, not copied.
 
     Raises:
         InfeasibleError: total scope and some vertex is over-demanded.
     """
     # over-demanded: more than the neighbourhood can ever supply
-    slack = 1 if inst.neighborhood is Neighborhood.CLOSED else 0
     adj = inst.graph._adj
     demands = inst.demands
-    over = [v for v in range(len(adj)) if demands[v] > len(adj[v]) + slack]
+    supply = map(len, adj)
+    if inst.neighborhood is Neighborhood.CLOSED:
+        supply = map(add, supply, repeat(1))
+    over = list(compress(range(len(adj)), map(gt, demands, supply)))
     if inst.scope is Scope.TOTAL:
         if over:
             v = over[0]
             bound = demand_bound(inst.neighborhood, inst.graph.degree(v))
             raise InfeasibleError(f"vertex {v} demands {demands[v]} of {bound} neighbours")
         return [], demands
+    if not over:
+        return over, demands
     reduced = list(demands)
     for v in over:
         for u in adj[v]:

@@ -22,6 +22,7 @@ from vecdom import (
     brute_force_minimum,
     build_graph,
     complete_graph,
+    coverage_value,
     cycle_graph,
     disjoint_union,
     greedy_multicover,
@@ -41,6 +42,7 @@ from vecdom.errors import (
     VecdomError,
     WrongVariantError,
 )
+from vecdom.generators import random_gnp
 
 from .strategies import PROPERTY_SETTINGS, instances
 
@@ -237,20 +239,24 @@ def _eager_multicover(family, requirements) -> tuple[int, ...] | None:
 
 
 def _eager_vector(inst: Instance) -> frozenset[int]:
+    """Reference picks, each gain taken from the potential's definition.
+
+    A candidate's gain is ``coverage_value(S + w) - coverage_value(S)``,
+    evaluated from scratch, so nothing of ``CoverageState`` is involved.
+    """
     g, demands = inst.graph, inst.demands
-    state = CoverageState(inst)
-    for v in range(g.n):
-        if demands[v] > g.degree(v):
-            state.add(v)
-    while state.value < sum(demands):
-        best, best_gain = -1, 0
+    chosen = {v for v in range(g.n) if demands[v] > g.degree(v)}
+    value = coverage_value(inst, chosen)
+    while value < sum(demands):
+        best, best_value = -1, value
         for v in range(g.n):
-            if v not in state.members:
-                gain = state.gain(v)
-                if gain > best_gain:
-                    best, best_gain = v, gain
-        state.add(best)
-    return frozenset(state.members)
+            if v not in chosen:
+                grown = coverage_value(inst, chosen | {v})
+                if grown > best_value:
+                    best, best_value = v, grown
+        chosen.add(best)
+        value = best_value
+    return frozenset(chosen)
 
 
 def _log_bound(size: int) -> float:
@@ -284,42 +290,70 @@ def _differential_demands(g: Graph, rng: random.Random) -> tuple[int, ...]:
     return tuple(rng.randint(0, min(g.degree(v) + 1, top)) for v in range(g.n))
 
 
+def _check_total_greedy(g: Graph, demands: tuple[int, ...], closed: bool, case: object) -> None:
+    """A multicover greedy, by family and by instance, against the eager reference."""
+    if closed:
+        family = tuple(tuple(sorted(g.neighbors(v) + (v,))) for v in range(g.n))
+        inst, greedy = _total_closed(g, demands), greedy_multiple_domination
+        bound = _log_bound(g.max_degree() + 1)
+    else:
+        family = g._adj
+        inst, greedy = _total_open(g, demands), greedy_total_vector
+        bound = _log_bound(g.max_degree())
+    mc = MulticoverInstance(g.n, family, demands)
+    expected = _eager_multicover(family, demands)
+    if expected is None:
+        with pytest.raises(InfeasibleError):
+            greedy_multicover(mc)
+        with pytest.raises(InfeasibleError):
+            greedy(inst)
+        return
+    assert greedy_multicover(mc) == expected, case
+    sol = greedy(inst)
+    assert sol.vertices == frozenset(expected), case
+    assert sol.bound == bound
+
+
+def _check_partial_greedy(g: Graph, demands: tuple[int, ...], case: object) -> None:
+    inst = _partial_open(g, demands)
+    sol = greedy_vector_domination(inst)
+    assert sol.vertices == _eager_vector(inst), case
+    best_single = max(
+        (demands[v] + sum(1 for u in g.neighbors(v) if demands[u] > 0) for v in range(g.n)),
+        default=0,
+    )
+    assert sol.bound == _log_bound(best_single)
+    assert sol.coarse_bound == _log_bound(2 * g.max_degree())
+
+
 def test_lazy_greedies_match_eager_reference() -> None:
     for case in range(1200):
         rng = random.Random(f"lazy-vs-eager:{case}")
         g = _differential_graph(case, rng)
         demands = _differential_demands(g, rng)
-        delta = g.max_degree()
+        _check_total_greedy(g, demands, False, case)
+        _check_total_greedy(g, demands, True, case)
+        _check_partial_greedy(g, demands, case)
 
-        open_family = g._adj
-        closed_family = tuple(tuple(sorted(g.neighbors(v) + (v,))) for v in range(g.n))
-        for family, inst, greedy, bound in (
-            (open_family, _total_open(g, demands), greedy_total_vector, _log_bound(delta)),
-            (closed_family, _total_closed(g, demands), greedy_multiple_domination,
-             _log_bound(delta + 1)),
-        ):
-            mc = MulticoverInstance(g.n, family, demands)
-            expected = _eager_multicover(family, demands)
-            if expected is None:
-                with pytest.raises(InfeasibleError):
-                    greedy_multicover(mc)
-                with pytest.raises(InfeasibleError):
-                    greedy(inst)
-                continue
-            assert greedy_multicover(mc) == expected, case
-            sol = greedy(inst)
-            assert sol.vertices == frozenset(expected), case
-            assert sol.bound == bound
 
-        inst = _partial_open(g, demands)
-        sol = greedy_vector_domination(inst)
-        assert sol.vertices == _eager_vector(inst), case
-        best_single = max(
-            (demands[v] + sum(1 for u in g.neighbors(v) if demands[u] > 0) for v in range(g.n)),
-            default=0,
-        )
-        assert sol.bound == _log_bound(best_single)
-        assert sol.coarse_bound == _log_bound(2 * delta)
+def test_lazy_greedies_match_eager_reference_on_random_graphs() -> None:
+    # shaped like the greedy benchmark: G(n, 0.05) and average degree 4,
+    # demands up to 3 within what the neighbourhood supplies, and 5% of
+    # the partial-scope vertices forced by a demand above their degree
+    for n in (100, 150, 200, 300):
+        for p in (0.05, 4 / (n - 1)):
+            case = (n, p)
+            rng = random.Random(f"lazy-vs-eager-gnp:{n}:{p}")
+            g = random_gnp(n, p, rng)
+            degrees = g.degrees()
+            for closed in (False, True):
+                demands = tuple(rng.randint(0, min(d + closed, 3)) for d in degrees)
+                _check_total_greedy(g, demands, closed, case)
+            demands = tuple(
+                d + 1 if rng.random() < 0.05 else rng.randint(0, min(d, 3)) for d in degrees
+            )
+            assert any(k > d for k, d in zip(demands, degrees)), case
+            _check_partial_greedy(g, demands, case)
 
 
 # ---------------------------------------------------------------------------

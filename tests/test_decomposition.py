@@ -31,13 +31,16 @@ from vecdom import (
     build_modified_cotree,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     is_cograph,
     is_threshold,
+    join,
     path_graph,
     solve_cograph,
     solve_threshold_vector,
     threshold_elimination_order,
 )
+from vecdom import decomposition
 from vecdom.decomposition import threshold_cotree
 from vecdom.generators import random_cograph, random_gnp, random_threshold, threshold_graph
 
@@ -333,12 +336,16 @@ def _differential_corpus() -> list[Graph]:
     corpus += [
         random_gnp(rng.randint(1, 40), rng.uniform(0.03, 0.6), rng) for _ in range(300)
     ]
+    # sparse and large: most fail on a set above twice the maximum degree
+    sizes = [rng.randint(100, 800) for _ in range(40)]
+    corpus += [random_gnp(n, rng.uniform(1, 8) / n, rng) for n in sizes]
     return corpus
 
 
 def test_recognisers_match_references() -> None:
     corpus = _differential_corpus()
     assert len(corpus) >= 1000
+    beyond_degree_bound = 0
     for index, g in enumerate(corpus):
         assert _certificate(threshold_elimination_order, g) == _certificate(
             _rescan_elimination_order, g
@@ -346,9 +353,65 @@ def test_recognisers_match_references() -> None:
         # the threshold graphs reach n=300, where the cotree build is cubic
         # and the recursive reference would outgrow the recursion limit
         if index >= 300:
-            assert _certificate(build_modified_cotree, g) == _certificate(
-                _recursive_cotree, g
-            ), index
+            cert = _certificate(build_modified_cotree, g)
+            assert cert == _certificate(_recursive_cotree, g), index
+            if isinstance(cert, tuple):
+                named = cert[1].count(",") + 1  # the failing set's size
+                beyond_degree_bound += named > 2 * g.max_degree()
+    assert beyond_degree_bound >= 30
+
+
+def _split_count(root: CotreeNode) -> int:
+    """The splits one build of ``root`` takes: one per node of the unbinarised cotree.
+
+    That is one per union and one per chain of binary joins, whose head
+    is a join below no join, plus the check that the whole graph is
+    connected when the root is a join.
+    """
+    count = root.kind == "join"
+    stack = [(root, "")]
+    while stack:
+        node, above = stack.pop()
+        count += node.kind == "union" or (node.kind == "join" and above != "join")
+        stack.extend((child, node.kind) for child in node.children)
+    return count
+
+
+def test_cotree_build_splits_each_node_once(monkeypatch) -> None:
+    calls: list[bool] = []
+    original = decomposition._components_within
+
+    def counting(g: Graph, verts: list[int], complement: bool) -> list[list[int]]:
+        calls.append(complement)
+        return original(g, verts, complement)
+
+    monkeypatch.setattr(decomposition, "_components_within", counting)
+    rng = random.Random("one-split-per-node")
+    for index in range(300):
+        g = random_cograph(rng.randint(1, 80), rng)
+        calls.clear()
+        root = build_modified_cotree(g)
+        assert len(calls) == _split_count(root), index
+    # a P4 below the root fails on the one split its parent left open
+    p4, k1 = path_graph(4), build_graph(1, [])
+    for g, expected in (
+        (join(p4, k1), [False, True, False]),
+        (disjoint_union([p4, k1])[0], [False, True]),
+    ):
+        calls.clear()
+        with pytest.raises(NotCographError):
+            build_modified_cotree(g)
+        assert calls == expected
+    # a connected graph that is no cograph: a union split, then a complement
+    # split only when some vertex sees half the graph
+    for p in (0.01, 0.05, 0.5):
+        g = random_gnp(2000, p, rng)
+        assert g.is_connected()
+        calls.clear()
+        with pytest.raises(NotCographError):
+            build_modified_cotree(g)
+        expected = [False, True] if 2 * g.max_degree() >= g.n else [False]
+        assert calls == expected, p
 
 
 def _cotree_depth(root: CotreeNode) -> int:
