@@ -30,7 +30,7 @@ from .errors import (
     WrongVariantError,
 )
 from .feasibility import Solution, certify
-from .graph import Graph, induced_subgraph
+from .graph import Graph, tree_order
 from .variants import Instance, Neighborhood, Scope, reduce_forced
 
 __all__ = [
@@ -193,11 +193,12 @@ def solve_tree_vector(g: Graph, demands: Sequence[int]) -> Solution:
 
     Vertices demanding more than their degree can never be served from
     outside, so they are forced into the answer first and their
-    neighbours' demands shrink accordingly; the remaining forest is swept
-    leaves-to-root.  A vertex still short two or more units after its
-    children are settled joins the set itself; a vertex short exactly one
-    unit pulls in its parent.  Per-vertex counters of chosen children keep
-    the sweep linear.
+    neighbours' demands shrink accordingly.  The forest T - F left by the
+    forced set F is swept leaves-to-root in reverse order of the BFS from 0
+    that recognised the tree, each part rooted at its vertex nearest 0.  A vertex still short
+    two or more units after its children are settled joins the set
+    itself; a vertex short exactly one unit pulls in its parent.
+    Per-vertex counters of chosen children keep the sweep linear.
 
     Raises:
         NotATreeError: the graph is disconnected or has a cycle.
@@ -206,10 +207,11 @@ def solve_tree_vector(g: Graph, demands: Sequence[int]) -> Solution:
 
 
 def _tree(
-    inst: Instance, cert: None, forced: list[int], k: Sequence[int], check_invariant: bool = False
+    inst: Instance, walk: tuple, forced: list[int], k: Sequence[int], check_invariant: bool = False
 ) -> Iterable[int]:
     # check_invariant re-verifies, after every step, that each processed
     # unchosen vertex already has enough chosen neighbours (for tests)
+    order, parent = walk
     n = inst.graph.n
     adj = inst.graph._adj
     in_forced = bytearray(n)
@@ -217,49 +219,33 @@ def _tree(
         in_forced[v] = 1
     chosen_list = list(forced)
     in_s = bytearray(n)
-    processed = bytearray(n)
+    processed = in_forced[:]  # the sweep skips forced vertices
     child_chosen = [0] * n
-    parent = [0] * n
-    visited = bytearray(n)
-    for start in range(n):
-        if in_forced[start] or visited[start]:
+    for v in reversed(order):
+        if processed[v]:
             continue
-        order = [start]
-        visited[start] = 1
-        parent[start] = start
-        for v in order:
-            for u in adj[v]:
-                if not visited[u] and not in_forced[u]:
-                    visited[u] = 1
-                    parent[u] = v
-                    order.append(u)
-        root = start
-        for idx in range(len(order) - 1, -1, -1):
-            v = order[idx]
-            if processed[v]:
-                continue
-            processed[v] = 1
-            kv = k[v]
-            if v == root:
-                if child_chosen[v] < kv:
-                    in_s[v] = 1
-                    chosen_list.append(v)
-            else:
-                c = child_chosen[v]
-                if c <= kv - 2:
-                    in_s[v] = 1
-                    chosen_list.append(v)
-                    child_chosen[parent[v]] += 1
-                elif c == kv - 1:
-                    pv = parent[v]
-                    if not in_s[pv]:
-                        in_s[pv] = 1
-                        chosen_list.append(pv)
-                        if pv != root:
-                            child_chosen[parent[pv]] += 1
-                    processed[pv] = 1
-            if check_invariant:
-                _assert_sweep_invariant(adj, k, in_forced, processed, in_s)
+        processed[v] = 1
+        kv = k[v]
+        pv = parent[v]
+        if pv == v or in_forced[pv]:  # the root of its part of T - F
+            if child_chosen[v] < kv:
+                in_s[v] = 1
+                chosen_list.append(v)
+        else:
+            c = child_chosen[v]
+            if c <= kv - 2:
+                in_s[v] = 1
+                chosen_list.append(v)
+                child_chosen[pv] += 1
+            elif c == kv - 1:
+                if not in_s[pv]:
+                    in_s[pv] = 1
+                    chosen_list.append(pv)
+                    # a root's parent is itself or forced: never swept again
+                    child_chosen[parent[pv]] += 1
+                processed[pv] = 1
+        if check_invariant:
+            _assert_sweep_invariant(adj, k, in_forced, processed, in_s)
     return chosen_list
 
 
@@ -278,14 +264,6 @@ def _assert_sweep_invariant(
         assert have >= k[v], f"vertex {v} processed with {have} < {k[v]} chosen neighbours"
 
 
-def _remainder(g: Graph, forced: list[int], reduced: Sequence[int], recognise: Callable):
-    """The subgraph left by the forced vertices, its demands, old ids and certificate."""
-    skip = set(forced)
-    sub, old_of_new = induced_subgraph(g, [v for v in range(g.n) if v not in skip])
-    cert = recognise(sub) if sub.n else None
-    return sub, [reduced[v] for v in old_of_new], old_of_new, cert
-
-
 def solve_cograph(inst: Instance) -> Solution:
     """Optimal solver for graphs without induced four-vertex paths.
 
@@ -302,9 +280,10 @@ def solve_cograph(inst: Instance) -> Solution:
     top-down and sets bottom-up, padding a side with its smallest unchosen
     ids when a guess exceeds what it picked for itself.
 
-    Partial scope forces vertices demanding more than their degree into
-    the answer up front, so every demand left is at most its degree.
-    Total scope reports such a vertex infeasible up front, and makes any
+    Forced vertices stay in the cotree: under partial scope a vertex
+    demanding more than its degree gets the flat row [1], as a discount
+    counts distinct chosen neighbours and never reaches its demand.  Total
+    scope reports such a vertex infeasible up front, and makes any
     subproblem that cannot be served an infeasible table entry that
     absorbs everything it joins.
 
@@ -318,21 +297,14 @@ def solve_cograph(inst: Instance) -> Solution:
     return solve(inst, "cograph")
 
 
-def _cograph(
-    inst: Instance, tree: CotreeNode | None, forced: list[int], work_k: Sequence[int]
-) -> Iterable[int]:
-    work = inst.graph
-    if work.n == 0:
+def _cograph(inst: Instance, tree: CotreeNode | None, *_: object) -> Iterable[int]:
+    g = inst.graph
+    if g.n == 0:
         return ()
     if tree is None:
         # recognised here, after the total-scope feasibility check
-        tree = build_modified_cotree(work)
-    lift: Sequence[int] = range(work.n)
-    if forced:
-        work, work_k, lift, tree = _remainder(work, forced, work_k, build_modified_cotree)
-        if work.n == 0:
-            return forced
-    infeasible = work.n + 1  # a size no set reaches: the subproblem cannot be served
+        tree = build_modified_cotree(g)
+    infeasible = g.n + 1  # a size no set reaches: the subproblem cannot be served
     alone = infeasible if inst.scope is Scope.TOTAL else 1
     nodes = [tree]  # every parent before its children
     for node in nodes:
@@ -343,8 +315,9 @@ def _cograph(
     choices: dict[int, list[tuple[int, int]]] = {}
     for node in reversed(nodes):
         if node.kind == "leaf":
-            kv = work_k[node.vertex]
-            sizes[id(node)] = [alone] * kv + [0]
+            kv = inst.demands[node.vertex]
+            # forced (partial scope only: total scope has raised)
+            sizes[id(node)] = [1] if kv > g.degree(node.vertex) else [alone] * kv + [0]
         elif node.kind == "union":
             parts = [sizes[id(child)] for child in node.children]
             sizes[id(node)] = [
@@ -390,7 +363,7 @@ def _cograph(
             discount[id(child)] = min(r + shift, len(sizes[id(child)]) - 1)
     # then the sets bottom-up: a join pads each side with its smallest
     # unchosen ids up to what the other side counts on
-    in_set = bytearray(work.n)
+    in_set = bytearray(g.n)
     for node in reversed(nodes):
         if node.kind == "leaf":
             in_set[node.vertex] = sizes[id(node)][discount[id(node)]]
@@ -404,7 +377,7 @@ def _cograph(
                     if not in_set[v]:
                         in_set[v] = 1
                         short -= 1
-    return forced + [lift[v] for v in range(work.n) if in_set[v]]
+    return [v for v in range(g.n) if in_set[v]]
 
 
 def _threshold_takes(
@@ -453,13 +426,13 @@ def _threshold_takes(
 def solve_threshold_vector(g: Graph, demands: Sequence[int]) -> Solution:
     """Partial-scope solver for threshold graphs.
 
-    Demands above the degree force their vertices into the answer, and the
-    rest of the graph is solved along its elimination ordering with the
-    size table behind :func:`_threshold_takes`.  The chosen branch at
-    every step is then replayed upwards to reconstruct one optimal set;
-    when the stay-out branch needs more chosen vertices than the smaller
-    side already has, the gap is padded with the smallest-id vertices
-    available.
+    The graph is solved along its elimination ordering with the size
+    table behind :func:`_threshold_takes`, which takes every vertex
+    demanding more than its degree, so forced vertices stay in place.
+    The chosen branch at every step is then replayed upwards to
+    reconstruct one optimal set; when the stay-out branch needs more
+    chosen vertices than the smaller side already has, the gap is padded
+    with the smallest-id vertices available.
 
     Raises:
         NotThresholdError: the graph has no elimination ordering.
@@ -467,18 +440,14 @@ def solve_threshold_vector(g: Graph, demands: Sequence[int]) -> Solution:
     return solve(Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands)), "threshold")
 
 
-def _threshold(inst: Instance, ordering, forced: list[int], k: Sequence[int]) -> Iterable[int]:
-    sub = inst.graph
-    lift: Sequence[int] = range(sub.n)
-    if forced:
-        sub, k, lift, ordering = _remainder(sub, forced, k, threshold_elimination_order)
-    if sub.n == 0:
-        return forced
+def _threshold(inst: Instance, ordering, *_: object) -> Iterable[int]:
+    count = inst.graph.n
+    if count == 0:
+        return ()
     order = ordering.order
     kinds = ordering.kinds
     later = ordering.later_dominating
-    count = sub.n
-    position_demand = [k[order[i]] for i in range(count)]
+    position_demand = [inst.demands[v] for v in order]
     takes = _threshold_takes(count, position_demand, kinds, later)
     # the discount each position is solved at, from 0 at the top down
     discount = [0] * count
@@ -499,7 +468,7 @@ def _threshold(inst: Instance, ordering, forced: list[int], k: Sequence[int]) ->
                 pool = sorted(set(order[:i]) - chosen_local)
                 assert len(pool) >= need, "padding exceeded the available vertices"
                 chosen_local.update(pool[:need])
-    return forced + [lift[v] for v in chosen_local]
+    return chosen_local
 
 
 # Solution.method -> body: (instance, certificate, forced, reduced demands) -> chosen vertices
@@ -530,8 +499,8 @@ def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
             return ("oracle" if n <= cap else greedy), None
         if g.is_complete():
             return ("complete-vector" if partial else "complete-total"), None
-        if partial and g.is_tree():
-            return "tree", None
+        if partial and (walk := tree_order(g)) is not None:
+            return "tree", walk
         if n <= _RECOGNITION_CAP:
             ordering = recognise(threshold_elimination_order, g)
             if ordering is not None:
@@ -565,9 +534,9 @@ def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
     if not partial:
         raise WrongVariantError(f"method {method!r} needs partial scope")
     if method == "tree":
-        if not g.is_tree():
+        if (walk := tree_order(g)) is None:
             raise NotATreeError(f"graph with n={n}, m={g.m} is not a tree")
-        return "tree", None
+        return "tree", walk
     return "threshold", threshold_elimination_order(g)
 
 
@@ -580,11 +549,12 @@ def solve(inst: Instance, method: str = "auto", cap: int = DEFAULT_ORACLE_CAP) -
        open ones; outside the set both count alike.
     2. Route: ``auto`` picks a solver as :func:`auto_solve` describes, any
        other method names one.  Recognition yields the certificate, a
-       threshold ordering or a cotree, that the solver then uses.
+       tree's BFS order and parents, a threshold ordering or a cotree,
+       that the solver then uses.
     3. Reduce with :func:`~vecdom.variants.reduce_forced`.
-    4. Solve with the certificate.  Only a subgraph left by forced
-       vertices, and a graph sent to the cograph DP by name that is not a
-       threshold graph, are decomposed here.
+    4. Solve on the whole graph's certificate, forced vertices in place.
+       Only a non-threshold graph sent to the cograph DP by name is
+       decomposed here.
     5. Certify the answer once, against the instance as given.
 
     A named method raises ``NotXError`` outside its class, ``WrongVariantError``

@@ -6,7 +6,6 @@ every mutation-like operation returns a new graph.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
@@ -53,11 +52,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self._adj))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self._adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as ``(u, v)`` with ``u < v``, sorted."""
         for u, row in enumerate(self._adj):
@@ -74,10 +68,10 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        return len(_bfs_order(self, 0)) == self.n
+        return len(_bfs_order(self, 0)[0]) == self.n
 
     def is_tree(self) -> bool:
-        return self.n >= 1 and self.m == self.n - 1 and self.is_connected()
+        return tree_order(self) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -211,14 +205,27 @@ def induced_subgraph(g: Graph, keep: Sequence[int]) -> tuple[Graph, tuple[int, .
     return Graph(tuple(adj), m // 2), old_of_new
 
 
-def _bfs_order(g: Graph, root: int) -> list[int]:
-    seen = bytearray(g.n)
-    seen[root] = 1
+def tree_order(g: Graph) -> tuple[list[int], list[int | None]] | None:
+    """A tree's BFS order from vertex 0 and each vertex's parent, or None.
+
+    The root is its own parent.  None means the graph is empty,
+    disconnected or has a cycle.
+    """
+    if g.n == 0 or g.m != g.n - 1:
+        return None
+    order, parent = _bfs_order(g, 0)
+    return (order, parent) if len(order) == g.n else None
+
+
+def _bfs_order(g: Graph, root: int) -> tuple[list[int], list[int | None]]:
+    """The vertices reached from ``root`` in BFS order, and their parents (None if unreached)."""
+    parent: list[int | None] = [None] * g.n
+    parent[root] = root
     order = [root]
     adj = g._adj
     for v in order:  # the list grows as it is walked: it is its own queue
         for u in adj[v]:
-            if not seen[u]:
-                seen[u] = 1
+            if parent[u] is None:
+                parent[u] = v
                 order.append(u)
-    return order
+    return order, parent

@@ -48,7 +48,7 @@ from .strategies import PROPERTY_SETTINGS, cographs, graphs, relabelled, thresho
 
 
 def _induced_edge_count(g: Graph, quad: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in combinations(quad, 2) if g.has_edge(u, v)]
+    return [(u, v) for u, v in combinations(quad, 2) if v in g.neighbors(u)]
 
 
 def _has_induced_p4(g: Graph) -> bool:

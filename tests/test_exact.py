@@ -302,18 +302,14 @@ class TestAutoSolve:
             assert len(sol.vertices) == len(brute_force_minimum(inst).vertices)
 
 
-def _unpruned_cograph(inst, tree, forced, work_k):
+def _unpruned_cograph(inst, tree, *_):
     """The cograph DP with every row running to the maximum degree, and no cap on the join search."""
     work = inst.graph
     if work.n == 0:
         return ()
     if tree is None:
         tree = build_modified_cotree(work)
-    lift = range(work.n)
-    if forced:
-        work, work_k, lift, tree = exact._remainder(work, forced, work_k, build_modified_cotree)
-        if work.n == 0:
-            return forced
+    work_k = inst.demands
     delta = work.max_degree()
     infeasible = work.n + 1
     alone = infeasible if inst.scope is Scope.TOTAL else 1
@@ -324,7 +320,11 @@ def _unpruned_cograph(inst, tree, forced, work_k):
     for node in reversed(nodes):
         if node.kind == "leaf":
             kv = work_k[node.vertex]
-            sizes[id(node)] = [0 if kv <= r else alone for r in range(delta + 1)]
+            if kv > work.degree(node.vertex):
+                # forced: no discount reaches a demand above the degree
+                sizes[id(node)] = [1] * (delta + 1)
+            else:
+                sizes[id(node)] = [0 if kv <= r else alone for r in range(delta + 1)]
         elif node.kind == "union":
             parts = [sizes[id(child)] for child in node.children]
             sizes[id(node)] = [min(sum(column), infeasible) for column in zip(*parts)]
@@ -371,7 +371,7 @@ def _unpruned_cograph(inst, tree, forced, work_k):
                     if not in_set[v]:
                         in_set[v] = 1
                         short -= 1
-    return forced + [lift[v] for v in range(work.n) if in_set[v]]
+    return [v for v in range(work.n) if in_set[v]]
 
 
 def _outcomes(inst: Instance) -> list:

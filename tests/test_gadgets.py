@@ -78,7 +78,7 @@ class TestReplicate:
             assert not (seen & set(emb))
             seen |= set(emb)
             for u, v in base.edges():
-                assert out.gprime.has_edge(emb[u], emb[v])
+                assert emb[v] in out.gprime.neighbors(emb[u])
         assert len(seen) == out.gprime.n
 
 

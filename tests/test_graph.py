@@ -17,6 +17,7 @@ from vecdom import (
     star_graph,
 )
 from vecdom.errors import DuplicateEdgeError, OutOfRangeError, SelfLoopError
+from vecdom.graph import tree_order
 
 from .strategies import PROPERTY_SETTINGS, graphs
 
@@ -73,8 +74,8 @@ class TestBuildGraph:
         assert len(listed) == g.m
         for u, v in listed:
             assert u < v
-            assert g.has_edge(u, v)
-            assert g.has_edge(v, u)
+            assert v in g.neighbors(u)
+            assert u in g.neighbors(v)
 
 
 class TestNamedFamilies:
@@ -95,6 +96,14 @@ class TestNamedFamilies:
         assert path_graph(6).is_tree()
         assert not cycle_graph(6).is_tree()
         assert not disjoint_union([path_graph(2), path_graph(2)])[0].is_tree()
+        assert not build_graph(0, []).is_tree()
+
+    def test_tree_order_is_bfs_from_zero_with_parents(self) -> None:
+        g = build_graph(5, [(3, 4), (0, 3), (1, 3), (1, 2)])
+        assert tree_order(g) == ([0, 3, 1, 4, 2], [0, 3, 1, 0, 3])
+        assert tree_order(build_graph(1, [])) == ([0], [0])
+        assert tree_order(cycle_graph(4)) is None
+        assert tree_order(build_graph(0, [])) is None
 
 
 class TestDisjointUnion:
@@ -121,9 +130,9 @@ class TestDisjointUnion:
         g, (m1, m2) = disjoint_union([g1, g2])
         assert g.m == g1.m + g2.m
         for u, v in g1.edges():
-            assert g.has_edge(m1[u], m1[v])
+            assert m1[v] in g.neighbors(m1[u])
         for u, v in g2.edges():
-            assert g.has_edge(m2[u], m2[v])
+            assert m2[v] in g.neighbors(m2[u])
         assert set(m1.values()) | set(m2.values()) == set(range(g.n))
 
 
@@ -138,8 +147,8 @@ class TestJoin:
         two = build_graph(2, [])
         g = join(two, two)
         assert g.degrees() == (2, 2, 2, 2)
-        assert not g.has_edge(0, 1)
-        assert not g.has_edge(2, 3)
+        assert 1 not in g.neighbors(0)
+        assert 3 not in g.neighbors(2)
 
     def test_join_with_empty_is_identity(self) -> None:
         g = join(build_graph(1, []), build_graph(0, []))
@@ -153,7 +162,7 @@ class TestJoin:
         assert g.m == g1.m + g2.m + g1.n * g2.n
         for u in range(g1.n):
             for v in range(g2.n):
-                assert g.has_edge(u, g1.n + v)
+                assert g1.n + v in g.neighbors(u)
 
 
 class TestInducedSubgraph:
@@ -171,4 +180,4 @@ class TestInducedSubgraph:
         assert sub.n == len(keep)
         for i in range(sub.n):
             for j in range(i + 1, sub.n):
-                assert sub.has_edge(i, j) == g.has_edge(old_of_new[i], old_of_new[j])
+                assert (j in sub.neighbors(i)) == (old_of_new[j] in g.neighbors(old_of_new[i]))

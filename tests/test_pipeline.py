@@ -6,7 +6,7 @@ the class of the exception raised.  Any change to which set a solver
 picks, which solver a route reaches, or which error wins shows up as a
 different digest.
 
-The call-count tests count the recognisers, ``Graph.is_tree`` and
+The call-count tests count the recognisers, ``tree_order`` among them, and
 ``is_feasible`` inside one ``auto_solve`` call, so a layer that finds the
 same certificate again, or certifies an answer twice, fails them.
 """
@@ -50,7 +50,7 @@ from vecdom import (
     solve_tree_vector,
     star_graph,
 )
-from vecdom import decomposition, feasibility
+from vecdom import decomposition, feasibility, graph
 from vecdom.cli import main
 from vecdom.errors import VecdomError
 from vecdom.generators import (
@@ -134,15 +134,20 @@ def _entries(inst: Instance) -> list[tuple[str, object]]:
     return entries
 
 
-def _outcome(call) -> str:
+def _outcome(call, vertices=lambda sol: list(sol.sorted_vertices())) -> str:
     try:
         sol = call()
     except VecdomError as exc:
         return f"!{type(exc).__name__}"
     return (
-        f"{sol.method}|{sol.status}|{sol.quality}|{list(sol.sorted_vertices())}"
+        f"{sol.method}|{sol.status}|{sol.quality}|{vertices(sol)}"
         f"|{sol.bound!r}|{sol.coarse_bound!r}"
     )
+
+
+def _size_outcome(call) -> str:
+    """``_outcome`` with the set's size in place of its vertices."""
+    return _outcome(call, lambda sol: len(sol.vertices))
 
 
 def _digest(records: list[str]) -> str:
@@ -150,12 +155,14 @@ def _digest(records: list[str]) -> str:
 
 
 # sha256 of the records below on the seeded corpus; a change means some
-# entry point now answers differently
-SOLVER_DIGEST = "c2374819f6735c58e25fb03d9ebd5203e52fc86436a009295f5f3e164bea27f6"
-CLI_DIGEST = "d1dc5e02c13ec1d0c7bddd795ed3c3ca5f3c8984c16443e5c44c3c8ace9f8577"
+# entry point now answers differently.  SIZE_DIGEST keeps only each set's
+# size, so a change of tie-break moves SOLVER_DIGEST alone
+SOLVER_DIGEST = "84bcacab7504cf104c312e148aaae9459fe2d03df0bcf1d6fc95a81a573ce784"
+SIZE_DIGEST = "3e0ea89e35d5253d644fa154b05fc4ffcce630de45dfc8341b4dd3714f04dccf"
+CLI_DIGEST = "4a0cafc2cb7bada120d9122f0f13c2ad49bdf5a6e615b4bdbd2469b73c355a75"
 
 
-def _solver_records() -> list[str]:
+def _solver_records(outcome=_outcome) -> list[str]:
     records = []
     for index, (g, demands) in enumerate(_corpus()):
         for neighborhood in (OPEN, CLOSED):
@@ -163,7 +170,7 @@ def _solver_records() -> list[str]:
                 inst = Instance(g, neighborhood, scope, demands)
                 for name, call in _entries(inst):
                     records.append(
-                        f"{index}|{neighborhood.value}|{scope.value}|{name}|{_outcome(call)}"
+                        f"{index}|{neighborhood.value}|{scope.value}|{name}|{outcome(call)}"
                     )
     return records
 
@@ -172,6 +179,12 @@ def test_solver_outputs_match_golden_digest() -> None:
     records = _solver_records()
     assert len(records) >= 2000
     assert _digest(records) == SOLVER_DIGEST
+
+
+def test_solver_sizes_match_golden_digest() -> None:
+    records = _solver_records(_size_outcome)
+    assert len(records) >= 2000
+    assert _digest(records) == SIZE_DIGEST
 
 
 def test_solver_digest_same_under_optimize_flag() -> None:
@@ -241,18 +254,20 @@ def test_cli_methods_match_golden_digest(tmp_path: Path) -> None:
 COUNTED = {
     "threshold_elimination_order": decomposition,
     "build_modified_cotree": decomposition,
+    "tree_order": graph,
     "is_feasible": feasibility,
 }
 
 
 @pytest.fixture()
 def counts(monkeypatch) -> dict[str, int]:
-    """Count calls to the recognisers, Graph.is_tree and is_feasible.
+    """Count calls to the recognisers and is_feasible.
 
     Every module of the package that holds one of the counted functions
-    gets the counting wrapper, wherever it was imported from.
+    gets the counting wrapper, wherever it was imported from, so
+    ``Graph.is_tree`` counts as one ``tree_order``.
     """
-    tally = {name: 0 for name in (*COUNTED, "is_tree")}
+    tally = dict.fromkeys(COUNTED, 0)
     modules = [m for key, m in sys.modules.items() if key == "vecdom" or key.startswith("vecdom.")]
     for name, home in COUNTED.items():
         original = getattr(home, name)
@@ -264,13 +279,6 @@ def counts(monkeypatch) -> dict[str, int]:
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
-    original_is_tree = Graph.is_tree
-
-    def counting_is_tree(self):
-        tally["is_tree"] += 1
-        return original_is_tree(self)
-
-    monkeypatch.setattr(Graph, "is_tree", counting_is_tree)
     return tally
 
 
@@ -299,10 +307,11 @@ def _forcing(g: Graph) -> tuple[int, ...]:
 def _cases() -> dict[str, tuple[Instance, tuple[int, int, int, int]]]:
     """Instances by route, each with the calls one auto_solve may make.
 
-    The counts are threshold orderings, cotrees, ``Graph.is_tree`` and
+    The counts are threshold orderings, cotrees, tree orders and
     ``is_feasible``.  A miss costs one attempt: every graph here that is
     not complete or a tree is tried as a threshold graph, and then as a
-    cograph unless it is one.
+    cograph unless it is one.  Forced vertices stay in the certificate,
+    so they cost no second recognition.
     """
     thr, cog, tree = _threshold(), _cograph(), star_graph(4)
     k5, c5 = complete_graph(5), cycle_graph(5)
@@ -310,11 +319,11 @@ def _cases() -> dict[str, tuple[Instance, tuple[int, int, int, int]]]:
     assert not is_cograph(big)
     return {
         "threshold partial": (Instance(thr, OPEN, PARTIAL, _ones(thr)), (1, 0, 1, 1)),
-        "threshold partial forced": (Instance(thr, OPEN, PARTIAL, _forcing(thr)), (2, 0, 1, 1)),
+        "threshold partial forced": (Instance(thr, OPEN, PARTIAL, _forcing(thr)), (1, 0, 1, 1)),
         # the caterpillar is read off the ordering: no cotree build
         "threshold total": (Instance(thr, OPEN, TOTAL, _ones(thr)), (1, 0, 0, 1)),
         "cograph partial": (Instance(cog, OPEN, PARTIAL, _ones(cog)), (1, 1, 1, 1)),
-        "cograph partial forced": (Instance(cog, OPEN, PARTIAL, _forcing(cog)), (1, 2, 1, 1)),
+        "cograph partial forced": (Instance(cog, OPEN, PARTIAL, _forcing(cog)), (1, 1, 1, 1)),
         "cograph total": (Instance(cog, OPEN, TOTAL, _ones(cog)), (1, 1, 0, 1)),
         "tree": (Instance(tree, OPEN, PARTIAL, _ones(tree)), (0, 0, 1, 1)),
         "tree closed partial": (Instance(tree, CLOSED, PARTIAL, _ones(tree)), (0, 0, 1, 1)),
@@ -338,7 +347,7 @@ CASES = _cases()
 def test_auto_solve_recognises_and_certifies_once(case, counts) -> None:
     inst, expected = CASES[case]
     auto_solve(inst)
-    names = ("threshold_elimination_order", "build_modified_cotree", "is_tree", "is_feasible")
+    names = ("threshold_elimination_order", "build_modified_cotree", "tree_order", "is_feasible")
     assert tuple(counts[name] for name in names) == expected
 
 
@@ -347,8 +356,7 @@ def _entry_cases() -> dict[str, tuple[object, tuple[int, int, int, int]]]:
 
     Each entry runs through ``solve``, so it recognises only its own class
     and certifies once.  ``solve_cograph`` reads a threshold graph's cotree
-    off its ordering and builds a general cotree only for other cographs
-    and for what forced vertices leave.
+    off its ordering and builds a general cotree only for other cographs.
     """
     inst = {name: instance for name, (instance, _) in CASES.items()}
 
@@ -362,7 +370,7 @@ def _entry_cases() -> dict[str, tuple[object, tuple[int, int, int, int]]]:
         "solve_tree_vector": (on_pair(solve_tree_vector, "tree"), (0, 0, 1, 1)),
         "solve_threshold_vector": (on_pair(solve_threshold_vector, "threshold partial"), (1, 0, 0, 1)),
         "solve_threshold_vector forced": (
-            on_pair(solve_threshold_vector, "threshold partial forced"), (2, 0, 0, 1)
+            on_pair(solve_threshold_vector, "threshold partial forced"), (1, 0, 0, 1)
         ),
         "solve_complete_vector": (on_pair(solve_complete_vector, "complete total"), (0, 0, 0, 1)),
         "solve_complete_total": (on_pair(solve_complete_total, "complete total"), (0, 0, 0, 1)),
@@ -378,10 +386,10 @@ def _entry_cases() -> dict[str, tuple[object, tuple[int, int, int, int]]]:
             f"solve_cograph {case}": (on_instance(solve_cograph, case), expected)
             for case, expected in (
                 ("threshold partial", (1, 0, 0, 1)),
-                ("threshold partial forced", (1, 1, 0, 1)),
+                ("threshold partial forced", (1, 0, 0, 1)),
                 ("threshold total", (1, 0, 0, 1)),
                 ("cograph partial", (1, 1, 0, 1)),
-                ("cograph partial forced", (1, 2, 0, 1)),
+                ("cograph partial forced", (1, 1, 0, 1)),
                 ("cograph total", (1, 1, 0, 1)),
             )
         },
@@ -395,7 +403,7 @@ ENTRY_CASES = _entry_cases()
 def test_each_entry_recognises_and_certifies_once(case, counts) -> None:
     call, expected = ENTRY_CASES[case]
     call()
-    names = ("threshold_elimination_order", "build_modified_cotree", "is_tree", "is_feasible")
+    names = ("threshold_elimination_order", "build_modified_cotree", "tree_order", "is_feasible")
     assert tuple(counts[name] for name in names) == expected
 
 
