@@ -52,7 +52,8 @@ METHODS = ("auto", "greedy", "oracle", "tree", "cograph", "threshold", "complete
 
 # auto attempts class recognition only below this size: the threshold
 # ordering and its caterpillar cotree are cheap, but the general cotree
-# build, which every non-threshold graph meets, is super-linear
+# build, which every non-threshold graph meets, grows about as m^1.5 on a
+# deep cotree (see ROADMAP item 1)
 _RECOGNITION_CAP = 4096
 
 
@@ -206,17 +207,18 @@ def solve_tree_vector(g: Graph, demands: Sequence[int]) -> Solution:
     return solve(Instance(g, Neighborhood.OPEN, Scope.PARTIAL, tuple(demands)), "tree")
 
 
-def _tree(
-    inst: Instance, walk: tuple, forced: list[int], k: Sequence[int], check_invariant: bool = False
-) -> Iterable[int]:
-    # check_invariant re-verifies, after every step, that each processed
-    # unchosen vertex already has enough chosen neighbours (for tests)
+def _tree(inst: Instance, walk: tuple, forced: list[int]) -> Iterable[int]:
     order, parent = walk
     n = inst.graph.n
     adj = inst.graph._adj
     in_forced = bytearray(n)
+    # each demand drops by one per forced neighbour, never below zero
+    k = list(inst.demands) if forced else inst.demands
     for v in forced:
         in_forced[v] = 1
+        for u in adj[v]:
+            if k[u]:
+                k[u] -= 1
     chosen_list = list(forced)
     in_s = bytearray(n)
     processed = in_forced[:]  # the sweep skips forced vertices
@@ -244,24 +246,7 @@ def _tree(
                     # a root's parent is itself or forced: never swept again
                     child_chosen[parent[pv]] += 1
                 processed[pv] = 1
-        if check_invariant:
-            _assert_sweep_invariant(adj, k, in_forced, processed, in_s)
     return chosen_list
-
-
-def _assert_sweep_invariant(
-    adj: tuple[tuple[int, ...], ...],
-    k: Sequence[int],
-    in_forced: bytearray,
-    processed: bytearray,
-    in_s: bytearray,
-) -> None:
-    # every processed, unchosen vertex must already be fully served
-    for v in range(len(adj)):
-        if in_forced[v] or not processed[v] or in_s[v]:
-            continue
-        have = sum(1 for u in adj[v] if in_s[u])
-        assert have >= k[v], f"vertex {v} processed with {have} < {k[v]} chosen neighbours"
 
 
 def solve_cograph(inst: Instance) -> Solution:
@@ -275,8 +260,9 @@ def solve_cograph(inst: Instance) -> Solution:
     row's end.  Leaves are immediate; union nodes add up their parts; a
     join node guesses, per discount, how many vertices each side will
     contribute to the other, and never guesses more than brings the
-    receiving side's row to its end, so a join costs at most (K+1)^3
-    steps whatever the degrees.  The answer is rebuilt once, discounts
+    receiving side's row to its end.  :func:`_join_row` finds each
+    discount's best guess in O(K) steps, so a join costs O(K^2) whatever
+    the degrees.  The answer is rebuilt once, discounts
     top-down and sets bottom-up, padding a side with its smallest unchosen
     ids when a guess exceeds what it picked for itself.
 
@@ -299,85 +285,170 @@ def solve_cograph(inst: Instance) -> Solution:
 
 def _cograph(inst: Instance, tree: CotreeNode | None, *_: object) -> Iterable[int]:
     g = inst.graph
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return ()
     if tree is None:
         # recognised here, after the total-scope feasibility check
         tree = build_modified_cotree(g)
-    infeasible = g.n + 1  # a size no set reaches: the subproblem cannot be served
+    infeasible = n + 1  # a size no set reaches: the subproblem cannot be served
     alone = infeasible if inst.scope is Scope.TOTAL else 1
-    nodes = [tree]  # every parent before its children
+    demands = inst.demands
+    adj = g._adj
+    # every parent before its children; node k's children sit side by side
+    # from position first[k]
+    nodes = [tree]
+    first = []
     for node in nodes:
+        first.append(len(nodes))
         nodes.extend(node.children)
+    count = len(nodes)
     # minimum sizes per node and discount, up to the largest demand below
     # (the row is 0 there and flat past it); per join, the best (i, j) per discount
-    sizes: dict[int, list[int]] = {}
-    choices: dict[int, list[tuple[int, int]]] = {}
-    for node in reversed(nodes):
-        if node.kind == "leaf":
-            kv = inst.demands[node.vertex]
+    sizes: list[list[int]] = [[]] * count
+    choices: list[list[tuple[int, int]]] = [[]] * count
+    for k in range(count - 1, -1, -1):
+        node = nodes[k]
+        kind = node.kind
+        c = first[k]
+        if kind == "leaf":
+            v = node.vertices[0]
+            kv = demands[v]
             # forced (partial scope only: total scope has raised)
-            sizes[id(node)] = [1] if kv > g.degree(node.vertex) else [alone] * kv + [0]
-        elif node.kind == "union":
-            parts = [sizes[id(child)] for child in node.children]
-            sizes[id(node)] = [
-                min(sum(part[min(r, len(part) - 1)] for part in parts), infeasible)
-                for r in range(max(map(len, parts)))
-            ]
+            sizes[k] = [1] if kv > len(adj[v]) else [alone] * kv + [0]
+        elif kind == "union":
+            parts = sizes[c : c + len(node.children)]
+            width = max(map(len, parts))
+            columns = zip(*[part + part[-1:] * (width - len(part)) for part in parts])
+            sizes[k] = [s if s < infeasible else infeasible for s in map(sum, columns)]
         else:
-            left_node, right_node = node.children
-            left, right = sizes[id(left_node)], sizes[id(right_node)]
-            top_left, top_right = len(left) - 1, len(right) - 1
-            n_left, n_right = len(left_node.vertices), len(right_node.vertices)
-            row, chosen = [], []
-            for r in range(max(top_left, top_right) + 1):
-                # past its top a side's row is flat, so a larger i (or j)
-                # never beats the capped one that the scan meets first
-                cap_i = min(n_right, max(top_left - r, 0))
-                cap_j = min(n_left, max(top_right - r, 0))
-                best, best_value = (0, 0), infeasible
-                right_at = [right[min(r + j, top_right)] for j in range(cap_j + 1)]
-                for i in range(cap_i + 1):
-                    own = left[min(r + i, top_left)]
-                    if own == infeasible:
-                        continue
-                    for j, other in enumerate(right_at):
-                        if other == infeasible:
-                            continue
-                        value = max(own, j) + max(other, i)
-                        if value < best_value:
-                            best_value, best = value, (i, j)
-                row.append(best_value)
-                chosen.append(best)
-            sizes[id(node)], choices[id(node)] = row, chosen
-    if sizes[id(tree)][0] == infeasible:
+            sizes[k], choices[k] = _join_row(
+                sizes[c], sizes[c + 1], len(nodes[c].vertices), len(nodes[c + 1].vertices), infeasible
+            )
+    if sizes[0][0] == infeasible:
         raise InfeasibleError("no vertex subset satisfies the instance")
     # the discount each node is solved at, top-down from 0 at the root and
-    # clipped to the node's own row
-    discount = {id(tree): 0}
-    for node in nodes:
-        r = discount[id(node)]
-        # a join's left side gets i more, its right side j more
-        shifts = choices[id(node)][r] if node.kind == "join" else (0,) * len(node.children)
-        for child, shift in zip(node.children, shifts):
-            discount[id(child)] = min(r + shift, len(sizes[id(child)]) - 1)
+    # clipped to the node's own row; a join's left side gets i more, its
+    # right side j more
+    discount = [0] * count
+    for k in range(count):
+        node = nodes[k]
+        if node.kind == "leaf":
+            continue
+        r = discount[k]
+        c = first[k]
+        shifts = choices[k][r] if node.kind == "join" else (0,) * len(node.children)
+        for child, shift in enumerate(shifts, c):
+            top = len(sizes[child]) - 1
+            discount[child] = r + shift if r + shift < top else top
     # then the sets bottom-up: a join pads each side with its smallest
     # unchosen ids up to what the other side counts on
-    in_set = bytearray(g.n)
-    for node in reversed(nodes):
+    in_set = bytearray(n)
+    for k in range(count - 1, -1, -1):
+        node = nodes[k]
         if node.kind == "leaf":
-            in_set[node.vertex] = sizes[id(node)][discount[id(node)]]
+            in_set[node.vertices[0]] = sizes[k][discount[k]]
         elif node.kind == "join":
-            i, j = choices[id(node)][discount[id(node)]]
-            for side, want in zip(node.children, (j, i)):
-                short = want - sizes[id(side)][discount[id(side)]]
-                for v in side.vertices:
+            i, j = choices[k][discount[k]]
+            c = first[k]
+            for side, want in ((c, j), (c + 1, i)):
+                short = want - sizes[side][discount[side]]
+                for v in nodes[side].vertices:
                     if short <= 0:
                         break
                     if not in_set[v]:
                         in_set[v] = 1
                         short -= 1
-    return [v for v in range(g.n) if in_set[v]]
+    return [v for v in range(n) if in_set[v]]
+
+
+def _join_row(
+    left: list[int], right: list[int], n_left: int, n_right: int, infeasible: int
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """A join node's row from its sides' rows, and the pair (i, j) behind each entry.
+
+    At discount r the left side is promised i more chosen neighbours from
+    the right and the right side j more from the left, for a size of
+    g(i, j) = max(A_i, j) + max(B_j, i) with A_i = left[r + i] and
+    B_j = right[r + j].  Both are non-increasing, ``infeasible`` on a
+    prefix and flat past their rows' ends, so i stops at the left row's
+    end or at n_right and j at the right row's end or at n_left.  The pair
+    is the first minimum in (i, j) order, the one a scan of every pair
+    meets first.
+
+    For a fixed i, g is least at j = min(A_i, last j), where
+    g = A_i + max(B_j, i); at the smallest j + B_j over A_i < j with
+    B_j >= i; or at the first j past A_i with B_j < i, where g = j + i.
+    Both ends of the middle window only move left as i grows, so a queue
+    of rising values keeps its minimum, and a discount costs O(K) for the
+    largest demand K below the join, not O(K^2).  The j of the first
+    minimising i comes from one scan.
+    """
+    top_left, top_right = len(left) - 1, len(right) - 1
+    row: list[int] = []
+    chosen: list[tuple[int, int]] = []
+    # the window's candidates from queue_j[head] to queue_j[tail - 1],
+    # largest j first, with their values j + b[j] rising
+    queue_j = [0] * (min(n_left, top_right) + 1)
+    queue_v = queue_j[:]
+    for r in range(max(top_left, top_right) + 1):
+        if r < top_left:
+            a = left[r : r + 1 + (n_right if n_right < top_left - r else top_left - r)]
+        else:
+            a = left[top_left:]
+        if r < top_right:
+            b = right[r : r + 1 + (n_left if n_left < top_right - r else top_right - r)]
+        else:
+            b = right[top_right:]
+        last = len(b) - 1
+        low_j = b.count(infeasible)  # the first feasible j
+        best, best_i = infeasible, 0
+        if low_j <= last:
+            below = last + 1  # the first j with b[j] < i
+            entered = last + 1  # the smallest j the window has reached
+            head = tail = 0
+            for i in range(a.count(infeasible), len(a)):
+                ai = a[i]
+                while below and b[below - 1] < i:
+                    below -= 1
+                # j <= ai
+                j = ai if ai < last else last
+                if j >= low_j:
+                    value = ai + (b[j] if b[j] > i else i)
+                else:
+                    value = infeasible
+                # ai < j and b[j] < i
+                j = ai + 1 if ai >= below else below
+                if j <= last and j + i < value:
+                    value = j + i
+                # ai < j < below: the window
+                low = ai + 1 if ai >= low_j else low_j
+                while entered > low:
+                    entered -= 1
+                    if entered < below:
+                        v = entered + b[entered]
+                        while tail > head and queue_v[tail - 1] >= v:
+                            tail -= 1
+                        queue_j[tail] = entered
+                        queue_v[tail] = v
+                        tail += 1
+                while head < tail and queue_j[head] >= below:
+                    head += 1
+                if head < tail and queue_v[head] < value:
+                    value = queue_v[head]
+                if value < best:
+                    best, best_i = value, i
+        if best == infeasible:
+            row.append(infeasible)
+            chosen.append((0, 0))
+            continue
+        ai = a[best_i]
+        j = low_j
+        while (ai if ai > j else j) + (b[j] if b[j] > best_i else best_i) != best:
+            j += 1
+        row.append(best)
+        chosen.append((best_i, j))
+    return row, chosen
 
 
 def _threshold_takes(
@@ -471,7 +542,7 @@ def _threshold(inst: Instance, ordering, *_: object) -> Iterable[int]:
     return chosen_local
 
 
-# Solution.method -> body: (instance, certificate, forced, reduced demands) -> chosen vertices
+# Solution.method -> body: (instance, certificate, forced vertices) -> chosen vertices
 _EXACT: dict[str, Callable[..., Iterable[int]]] = {
     "empty-graph": lambda *_: (),
     "complete-vector": _complete_vector,
@@ -567,11 +638,11 @@ def solve(inst: Instance, method: str = "auto", cap: int = DEFAULT_ORACLE_CAP) -
     route, cert = _route(inst, method, cap)
     greedy = route in GREEDY_METHODS.values()
     try:
-        forced, reduced = reduce_forced(inst)
+        forced = reduce_forced(inst)
         if greedy:
             solution = greedy_solution(inst, forced)
         else:
-            chosen = _EXACT[route](inst, cert, forced, reduced)
+            chosen = _EXACT[route](inst, cert, forced)
             solution = Solution(frozenset(chosen), "feasible", "optimal", route)
     except InfeasibleError as exc:
         exc.method, exc.quality = route, "approx" if greedy else "optimal"

@@ -6,8 +6,7 @@ every mutation-like operation returns a new graph.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -25,7 +24,6 @@ __all__ = [
     "star_graph",
     "disjoint_union",
     "join",
-    "induced_subgraph",
 ]
 
 
@@ -95,26 +93,27 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise OutOfRangeError(f"vertex count must be non-negative, got {n}")
-    pairs = list(edges)
+    pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
     return _graph_from_ends(n, list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
 
 
 def _graph_from_ends(n: int, tails: list[int], heads: list[int]) -> Graph:
     """``build_graph`` on the edge list's two columns: edge i is (tails[i], heads[i])."""
-    # bulk checks, then a rescan in edge order for the first error; in range,
-    # u * n + v keys the arc u -> v: a repeated edge repeats or reverses an
-    # arc, and a self-loop reverses its own
-    if tails and (
-        min(min(tails), min(heads)) < 0
-        or max(max(tails), max(heads)) >= n
-        or len(arcs := set(map(add, map(mul, tails, repeat(n)), heads))) < len(tails)
-        or not arcs.isdisjoint(map(add, map(mul, heads, repeat(n)), tails))
-    ):
+    # the rows check the edges as they fill: a negative id is a column's
+    # minimum, an id >= n misses the rows, and a repeated edge or a
+    # self-loop puts one neighbour twice into a row; then the edges are
+    # rescanned in order for the first error
+    if tails and min(min(tails), min(heads)) < 0:
         _raise_first_error(n, tails, heads)
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(tails, heads):
-        adj[u].append(v)
-        adj[v].append(u)
+    try:
+        for u, v in zip(tails, heads):
+            adj[u].append(v)
+            adj[v].append(u)
+    except IndexError:
+        _raise_first_error(n, tails, heads)
+    if sum(map(len, map(set, adj))) != 2 * len(tails):
+        _raise_first_error(n, tails, heads)
     for row in adj:
         row.sort()
     return Graph(tuple(map(tuple, adj)), len(tails))
@@ -187,22 +186,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     for v in range(g2.n):
         adj.append(left + tuple(u + n1 for u in g2.neighbors(v)))
     return Graph(tuple(adj), g1.m + g2.m + n1 * g2.n)
-
-
-def induced_subgraph(g: Graph, keep: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by ``keep`` (must be sorted, duplicate-free).
-
-    Returns the subgraph plus the tuple mapping each new id to its old id.
-    """
-    old_of_new = tuple(keep)
-    new_of_old = {old: new for new, old in enumerate(old_of_new)}
-    adj: list[tuple[int, ...]] = []
-    m = 0
-    for old in old_of_new:
-        row = tuple(new_of_old[u] for u in g.neighbors(old) if u in new_of_old)
-        adj.append(row)
-        m += len(row)
-    return Graph(tuple(adj), m // 2), old_of_new
 
 
 def tree_order(g: Graph) -> tuple[list[int], list[int | None]] | None:

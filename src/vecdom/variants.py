@@ -246,14 +246,12 @@ def named_variant(
     return VariantSpec(neighborhood, scope, inequality, threshold)
 
 
-def reduce_forced(inst: Instance) -> tuple[list[int], Sequence[int]]:
-    """The forced vertices and the demands left once they are chosen.
+def reduce_forced(inst: Instance) -> list[int]:
+    """The forced vertices, in ascending order.
 
     Under partial scope every feasible set holds the over-demanded
-    vertices; each other demand drops by one per forced neighbour, never
-    below zero.  Under total scope nothing is forced, and the whole vertex
-    set is feasible unless some vertex is over-demanded.  When nothing is
-    forced, the demands come back as given, not copied.
+    vertices.  Under total scope none may exist, and without one the whole
+    vertex set is feasible, so nothing is forced.
 
     Raises:
         InfeasibleError: total scope and some vertex is over-demanded.
@@ -265,17 +263,8 @@ def reduce_forced(inst: Instance) -> tuple[list[int], Sequence[int]]:
     if inst.neighborhood is Neighborhood.CLOSED:
         supply = map(add, supply, repeat(1))
     over = list(compress(range(len(adj)), map(gt, demands, supply)))
-    if inst.scope is Scope.TOTAL:
-        if over:
-            v = over[0]
-            bound = demand_bound(inst.neighborhood, inst.graph.degree(v))
-            raise InfeasibleError(f"vertex {v} demands {demands[v]} of {bound} neighbours")
-        return [], demands
-    if not over:
-        return over, demands
-    reduced = list(demands)
-    for v in over:
-        for u in adj[v]:
-            if reduced[u]:
-                reduced[u] -= 1
-    return over, reduced
+    if over and inst.scope is Scope.TOTAL:
+        v = over[0]
+        bound = demand_bound(inst.neighborhood, inst.graph.degree(v))
+        raise InfeasibleError(f"vertex {v} demands {demands[v]} of {bound} neighbours")
+    return over

@@ -10,7 +10,7 @@ threshold DP with the cograph DP well past the oracle's cap.
 from __future__ import annotations
 
 import random
-from functools import partial
+import sys
 from itertools import combinations
 from unittest import mock
 
@@ -188,12 +188,64 @@ class TestTreeVector:
     @THOROUGH_SETTINGS
     def test_matches_oracle_with_sweep_invariant(self, g, data) -> None:
         demands = data.draw(demands_for(g, Neighborhood.OPEN, extra=1))
-        # the sweep re-checks its invariant after every step
-        with mock.patch.dict(exact._EXACT, tree=partial(exact._tree, check_invariant=True)):
+        # the sweep's invariant is re-checked after every step
+        with mock.patch.dict(exact._EXACT, tree=_checked_tree(_assert_sweep_invariant)):
             sol = solve_tree_vector(g, demands)
         inst = _partial_open(g, demands)
         assert is_feasible(inst, sol.vertices).feasible
         assert len(sol.vertices) == len(brute_force_minimum(inst).vertices)
+
+    def test_sweep_invariant_checked_after_every_step(self) -> None:
+        processed = []
+
+        def check(state: dict) -> None:
+            _assert_sweep_invariant(state)
+            processed.append(sum(state["processed"]))
+
+        with mock.patch.dict(exact._EXACT, tree=_checked_tree(check)):
+            sol = solve_tree_vector(path_graph(5), (1, 1, 1, 1, 1))
+        assert sol.sorted_vertices() == (0, 3)
+        # one check after each of the five steps, on the sweep's state then:
+        # vertex 4 pulls in 3, 3 is skipped, 2 is served, 1 pulls in 0
+        assert processed == [2, 2, 3, 5, 5]
+
+
+def _assert_sweep_invariant(state: dict) -> None:
+    """Every processed, unchosen vertex of the tree sweep is already served."""
+    adj, k, in_s = state["adj"], state["k"], state["in_s"]
+    for v in range(len(adj)):
+        if state["in_forced"][v] or not state["processed"][v] or in_s[v]:
+            continue
+        have = sum(1 for u in adj[v] if in_s[u])
+        assert have >= k[v], f"vertex {v} processed with {have} < {k[v]} chosen neighbours"
+
+
+class _CheckedOrder(list):
+    """A BFS order whose reversed walk calls ``check`` between the tree sweep's steps.
+
+    The sweep walks ``reversed(order)``: when it asks for the next vertex
+    the step before is done, and ``check`` gets the sweep's local
+    variables, read off the frame that asked.
+    """
+
+    def __init__(self, order, check) -> None:
+        super().__init__(order)
+        self.check = check
+
+    def __reversed__(self):
+        for v in super().__reversed__():
+            yield v
+            self.check(dict(sys._getframe(1).f_locals))
+
+
+def _checked_tree(check):
+    """``exact._tree`` with ``check`` called on its state after every step."""
+
+    def tree(inst, walk, forced):
+        order, parent = walk
+        return exact._tree(inst, (_CheckedOrder(order, check), parent), forced)
+
+    return tree
 
 
 class TestCograph:
@@ -372,6 +424,56 @@ def _unpruned_cograph(inst, tree, *_):
                         in_set[v] = 1
                         short -= 1
     return [v for v in range(work.n) if in_set[v]]
+
+
+def _scanned_join_row(left, right, n_left, n_right, infeasible):
+    """A join's row by scanning every (i, j), as the cograph DP once did."""
+    top_left, top_right = len(left) - 1, len(right) - 1
+    row, chosen = [], []
+    for r in range(max(top_left, top_right) + 1):
+        cap_i = min(n_right, max(top_left - r, 0))
+        cap_j = min(n_left, max(top_right - r, 0))
+        best, best_value = (0, 0), infeasible
+        right_at = [right[min(r + j, top_right)] for j in range(cap_j + 1)]
+        for i in range(cap_i + 1):
+            own = left[min(r + i, top_left)]
+            if own == infeasible:
+                continue
+            for j, other in enumerate(right_at):
+                if other == infeasible:
+                    continue
+                value = max(own, j) + max(other, i)
+                if value < best_value:
+                    best_value, best = value, (i, j)
+        row.append(best_value)
+        chosen.append(best)
+    return row, chosen
+
+
+def _random_row(rng: random.Random, side: int, top: int, infeasible: int) -> list[int]:
+    """A side's row: non-increasing sizes up to ``side``, infeasible on a prefix."""
+    # small values make ties, which the pair rule has to break as the scan does
+    largest = side if rng.random() < 0.5 else min(side, rng.randint(0, 4))
+    row = sorted((rng.randint(0, largest) for _ in range(top + 1)), reverse=True)
+    if rng.random() < 0.7:
+        row[-1] = 0  # no forced vertex below: the row ends at 0
+    prefix = rng.randint(0, top) if rng.random() < 0.3 else 0
+    return [infeasible] * prefix + row[prefix:]
+
+
+def test_join_row_matches_scan_of_every_pair() -> None:
+    rng = random.Random("join-row-vs-scan")
+    for index in range(5000):
+        n_left, n_right = rng.randint(1, 40), rng.randint(1, 40)
+        infeasible = n_left + n_right + 1 + rng.randint(0, 3)
+        # most joins sit below small demands; some reach K = 30
+        big = index % 4 == 0
+        tops = [rng.randint(0, 30 if big else 6) for _ in range(2)]
+        left = _random_row(rng, n_left, tops[0], infeasible)
+        right = _random_row(rng, n_right, tops[1], infeasible)
+        expected = _scanned_join_row(left, right, n_left, n_right, infeasible)
+        assert exact._join_row(left, right, n_left, n_right, infeasible) == expected, (
+            left, right, n_left, n_right, infeasible)
 
 
 def _outcomes(inst: Instance) -> list:

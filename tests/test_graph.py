@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,12 +14,12 @@ from vecdom import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    induced_subgraph,
     join,
     path_graph,
     star_graph,
 )
 from vecdom.errors import DuplicateEdgeError, OutOfRangeError, SelfLoopError
+from vecdom.generators import random_gnp
 from vecdom.graph import tree_order
 
 from .strategies import PROPERTY_SETTINGS, graphs
@@ -51,6 +54,21 @@ class TestBuildGraph:
         g = build_graph(0, [])
         assert g.n == 0
         assert g.m == 0
+
+    def test_edge_list_is_not_copied_while_building(self) -> None:
+        # the two columns, the rows and their tuples take about 50 bytes per
+        # edge; a copy of the list of pairs, or a set of arc keys beside
+        # them, takes the peak past 80
+        edges = list(random_gnp(2000, 0.05, random.Random("build-peak")).edges())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = build_graph(2000, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == len(edges) > 90_000
+        assert peak - before < 80 * len(edges), (peak - before) / len(edges)
 
     @given(graphs())
     @PROPERTY_SETTINGS
@@ -163,21 +181,3 @@ class TestJoin:
         for u in range(g1.n):
             for v in range(g2.n):
                 assert g1.n + v in g.neighbors(u)
-
-
-class TestInducedSubgraph:
-    def test_middle_of_path(self) -> None:
-        sub, old_of_new = induced_subgraph(path_graph(4), [1, 2])
-        assert sub.n == 2
-        assert sub.m == 1
-        assert old_of_new == (1, 2)
-
-    @given(graphs())
-    @PROPERTY_SETTINGS
-    def test_edges_survive_exactly_when_both_kept(self, g) -> None:
-        keep = [v for v in range(g.n) if v % 2 == 0]
-        sub, old_of_new = induced_subgraph(g, keep)
-        assert sub.n == len(keep)
-        for i in range(sub.n):
-            for j in range(i + 1, sub.n):
-                assert (j in sub.neighbors(i)) == (old_of_new[j] in g.neighbors(old_of_new[i]))
