@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Callable
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import NotCographError, NotThresholdError
 from .graph import Graph
 
 __all__ = [
-    "CotreeNode",
+    "Cotree",
     "build_modified_cotree",
     "is_cograph",
     "recognise",
@@ -20,63 +20,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CotreeNode:
-    """A node of the binarised-join cotree.
+class Cotree(NamedTuple):
+    """A binarised-join cotree as flat arrays, its nodes in preorder.
 
-    ``leaf`` nodes carry a single vertex.  ``union`` nodes may have any
-    number of children (one per connected component).  ``join`` nodes have
-    exactly two children: the first complement component and the rest.
-
-    Equality walks both trees on an explicit stack, and hash and repr look
-    at this node only, so cotrees thousands of levels deep compare, hash
-    and print without meeting the recursion limit.
+    Node k is a ``"leaf"``, a ``"union"`` of two or more children (its
+    components) or a ``"join"`` of two: its first co-component and the
+    rest.  Its subtree is nodes k to ``ends[k] - 1``, so its children are
+    k + 1 and then each child's end.  ``leaves`` holds the vertices in
+    preorder, node k's are ``leaves[starts[k]:starts[ends[k]]]``, and
+    ``starts`` has one more entry, the vertex count.
     """
 
-    kind: str  # "leaf" | "union" | "join"
-    vertices: tuple[int, ...]
-    children: tuple["CotreeNode", ...] = field(default=())
+    kinds: tuple[str, ...]
+    ends: tuple[int, ...]
+    starts: tuple[int, ...]
+    leaves: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind == "leaf":
-            assert len(self.vertices) == 1 and not self.children
-        elif self.kind == "union":
-            assert len(self.children) >= 2
-        elif self.kind == "join":
-            assert len(self.children) == 2
-        else:
-            raise ValueError(f"unknown cotree node kind {self.kind!r}")
-
-    @property
-    def vertex(self) -> int:
-        assert self.kind == "leaf"
-        return self.vertices[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CotreeNode):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (
-                a.kind != b.kind
-                or a.vertices != b.vertices
-                or len(a.children) != len(b.children)
-            ):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.vertices))
-
-    def __repr__(self) -> str:
-        return (
-            f"CotreeNode(kind={self.kind!r}, vertices={self.vertices!r}, "
-            f"children=<{len(self.children)} nodes>)"
-        )
+    def children(self, k: int) -> Iterator[int]:
+        """Node k's children, in order."""
+        ends = self.ends
+        c = k + 1
+        while c < ends[k]:
+            yield c
+            c = ends[c]
 
 
 def _components_within(g: Graph, verts: list[int], complement: bool) -> list[list[int]]:
@@ -104,7 +70,46 @@ def _components_within(g: Graph, verts: list[int], complement: bool) -> list[lis
     return comps
 
 
-def build_modified_cotree(g: Graph) -> CotreeNode:
+def _write_cotree(root: Sequence[int], split: Callable) -> Cotree:
+    """The :class:`Cotree` of ``root``, each node written as ``split`` makes it, depth first.
+
+    ``split(verts, made_by)`` gives the kind of a set of two or more
+    vertices and its parts in order, ``made_by`` being the kind of the
+    split that made the set ("" at the root); one vertex is a leaf.  Join
+    parts are chained into binary joins, part 1 against everything after
+    it.  The stack is explicit, so no depth meets the recursion limit.
+    """
+    # per node, its kind, the leaves written before it and once its subtree is
+    kinds, starts, stops, leaves = [], [], [], []
+    stack: list[tuple] = [(root, "")]
+    while stack:
+        verts, made_by = stack.pop()
+        starts.append(len(leaves))
+        if verts is None:  # a binary join of a chain, which stops where the chain does
+            kinds.append("join")
+            stops.append(made_by)
+        elif len(verts) == 1:
+            kinds.append("leaf")
+            leaves.append(verts[0])
+            stops.append(len(leaves))
+        else:
+            kind, parts = split(verts, made_by)
+            kinds.append(kind)
+            stops.append(len(leaves) + len(verts))
+            stack.append((parts[-1], kind))
+            for part in parts[-2:0:-1]:
+                stack.append((part, kind))
+                if kind == "join":
+                    stack.append((None, stops[-1]))
+            stack.append((parts[0], kind))
+    starts.append(len(leaves))
+    # a subtree ends at the first node after it, the first that starts where it stops
+    first = dict(zip(reversed(starts), range(len(kinds), -1, -1)))
+    ends = tuple(map(first.__getitem__, stops))
+    return Cotree(tuple(kinds), ends, tuple(starts), tuple(leaves))
+
+
+def build_modified_cotree(g: Graph) -> Cotree:
     """Decompose a cograph into leaves, unions, and binary joins.
 
     A graph without induced four-vertex paths always splits: either it is
@@ -113,15 +118,13 @@ def build_modified_cotree(g: Graph) -> CotreeNode:
     into binary nodes, peeling one part at a time in ascending order of
     smallest vertex id; unions keep all parts as siblings.
 
-    The splits run depth first on an explicit stack, and the nodes are
-    built bottom-up after them, so no depth meets the recursion limit.
-    Each node takes one split, a walk over its induced subgraph or over
-    its complement; only the root may need both.  A union's parts are
-    connected and a join's parts co-connected, so neither is checked
-    again.  A connected vertex set whose complement splits is a complete
-    bipartite join, in which some vertex sees half the set, so a set
-    larger than twice the maximum degree fails without its complement
-    walk.
+    Each node takes one split, written as it is made: a walk over its
+    induced subgraph or over its complement; only the root may need both.
+    A union's parts are connected and a join's parts co-connected, so
+    neither is checked again.  A connected vertex set whose complement
+    splits is a complete bipartite join, in which some vertex sees half
+    the set, so a set larger than twice the maximum degree fails without
+    its complement walk.
 
     Raises:
         NotCographError: some induced subgraph with at least two vertices
@@ -131,43 +134,19 @@ def build_modified_cotree(g: Graph) -> CotreeNode:
     if g.n == 0:
         raise NotCographError("cannot decompose the empty graph")
     most = g.max_degree()
-    splits: list[tuple[list[int], str, list[list[int]]]] = []  # depth-first preorder
-    # each vertex set with the kind of split that made it: a part of a
-    # union is connected, a part of a join co-connected
-    stack = [(list(g.vertices()), "")]
-    while stack:
-        verts, made_by = stack.pop()
-        if len(verts) == 1:
-            splits.append((verts, "leaf", []))
-            continue
-        kind = "union"
+
+    def split(verts: list[int], made_by: str) -> tuple[str, list[list[int]]]:
+        # a part of a union is connected, a part of a join co-connected
         parts = [] if made_by == "union" else _components_within(g, verts, False)
-        if len(parts) < 2 and made_by != "join" and 2 * most >= len(verts):
-            kind, parts = "join", _components_within(g, verts, True)
-        if len(parts) < 2:
-            raise NotCographError(
-                f"vertices {tuple(verts)} induce a connected, co-connected subgraph"
-            )
-        splits.append((verts, kind, parts))
-        stack.extend((part, kind) for part in reversed(parts))
-    # reverse preorder builds each subtree before its parent, the last child first
-    built: list[CotreeNode] = []
-    for verts, kind, parts in reversed(splits):
-        if kind == "leaf":
-            built.append(CotreeNode("leaf", (verts[0],)))
-            continue
-        children = [built.pop() for _ in parts]
-        if kind == "union":
-            built.append(CotreeNode("union", tuple(verts), tuple(children)))
-            continue
-        # chain the parts into binary joins: part 1 against everything else
-        node = children[-1]
-        rest = parts[-1]
-        for child, part in zip(reversed(children[:-1]), reversed(parts[:-1])):
-            rest = sorted(rest + part)
-            node = CotreeNode("join", tuple(rest), (child, node))
-        built.append(node)
-    return built.pop()
+        if len(parts) > 1:
+            return "union", parts
+        if made_by != "join" and 2 * most >= len(verts):
+            parts = _components_within(g, verts, True)
+            if len(parts) > 1:
+                return "join", parts
+        raise NotCographError(f"vertices {tuple(verts)} induce a connected, co-connected subgraph")
+
+    return _write_cotree(list(g.vertices()), split)
 
 
 def recognise(build: Callable[[Graph], object], g: Graph):
@@ -237,7 +216,7 @@ def threshold_elimination_order(g: Graph) -> ThresholdOrdering:
     return ThresholdOrdering(tuple(order), tuple(kinds), tuple(later))
 
 
-def threshold_cotree(ordering: ThresholdOrdering) -> CotreeNode:
+def threshold_cotree(ordering: ThresholdOrdering) -> Cotree:
     """The cotree :func:`build_modified_cotree` returns, read off an ordering.
 
     A threshold graph's cotree is a caterpillar (Chvátal & Hammer 1977).
@@ -246,8 +225,8 @@ def threshold_cotree(ordering: ThresholdOrdering) -> CotreeNode:
     isolated run) in the subgraph of the run and everything below it, and
     everything below is one more part, a co-component or a component.  The
     bottom vertex joins the run just above it.  Parts come in order of
-    smallest vertex, and joins are chained as :func:`build_modified_cotree`
-    chains them, so the result is equal node for node.
+    smallest vertex, and the same writer chains the joins, so the arrays
+    are equal; a level costs the length of its run.
 
     Raises:
         NotCographError: the ordering is empty.
@@ -255,23 +234,20 @@ def threshold_cotree(ordering: ThresholdOrdering) -> CotreeNode:
     order, kinds = ordering.order, ordering.kinds
     if not order:
         raise NotCographError("cannot decompose the empty graph")
-    node = CotreeNode("leaf", (order[0],))
-    verts = [order[0]]  # the vertices below, ascending
-    # the levels bottom-up: runs of equal kinds above the bottom vertex
-    for kind, run in groupby(range(1, len(order)), kinds.__getitem__):
-        level = [order[i] for i in run]
-        parts = [([v], CotreeNode("leaf", (v,))) for v in level]
-        parts.append((verts, node))
-        parts.sort(key=lambda part: part[0][0])
-        if kind == "isolated":
-            verts = sorted(verts + level)
-            node = CotreeNode("union", tuple(verts), tuple(child for _, child in parts))
-            continue
-        verts, node = parts[-1]
-        for part, child in reversed(parts[:-1]):
-            verts = sorted(verts + part)
-            node = CotreeNode("join", tuple(verts), (child, node))
-    return node
+    lows = list(accumulate(order, min))  # the smallest vertex up to each position
+
+    def split(positions: range, _: str) -> tuple[str, list]:
+        # the top level is the run of one kind that ends the positions; below
+        # it lie the positions before it, or the bottom vertex alone
+        top = first = len(positions) - 1
+        while first > 1 and kinds[first - 1] == kinds[top]:
+            first -= 1
+        level, low = sorted(order[first : top + 1]), lows[first - 1]
+        below = range(first) if first > 1 else order[:1]
+        parts = [[v] for v in level if v < low] + [below] + [[v] for v in level if v > low]
+        return ("union" if kinds[top] == "isolated" else "join"), parts
+
+    return _write_cotree(range(len(order)) if len(order) > 1 else order, split)
 
 
 def is_threshold(g: Graph) -> bool:

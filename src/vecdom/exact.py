@@ -11,12 +11,12 @@ against.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Sequence
 
 from .approx import GREEDY_METHODS, greedy_solution
 from .decomposition import (
-    CotreeNode,
+    Cotree,
     build_modified_cotree,
     recognise,
     threshold_cotree,
@@ -252,19 +252,20 @@ def _tree(inst: Instance, walk: tuple, forced: list[int]) -> Iterable[int]:
 def solve_cograph(inst: Instance) -> Solution:
     """Optimal solver for graphs without induced four-vertex paths.
 
-    Works bottom-up over the binarised cotree.  For every node H and every
-    externally supplied discount r (neighbours of H promised from the
-    outside), the table holds the size of a minimum set for H with all
-    demands lowered by r.  H's row stops at the largest demand K inside
-    H, where it reaches 0; it is flat past K, so every lookup clips to the
-    row's end.  Leaves are immediate; union nodes add up their parts; a
-    join node guesses, per discount, how many vertices each side will
-    contribute to the other, and never guesses more than brings the
-    receiving side's row to its end.  :func:`_join_row` finds each
-    discount's best guess in O(K) steps, so a join costs O(K^2) whatever
-    the degrees.  The answer is rebuilt once, discounts
-    top-down and sets bottom-up, padding a side with its smallest unchosen
-    ids when a guess exceeds what it picked for itself.
+    Works bottom-up over the binarised cotree's preorder arrays, in place.
+    For every node H and every externally supplied discount r (neighbours
+    of H promised from the outside), the table holds the size of a minimum
+    set for H with all demands lowered by r.  H's row stops at the largest
+    demand K inside H, where it reaches 0; it is flat past K, so every
+    lookup clips to the row's end.  Leaves are immediate; union nodes add
+    up their parts; a join node guesses, per discount, how many vertices
+    each side will contribute to the other, and never guesses more than
+    brings the receiving side's row to its end.  :func:`_join_row` finds
+    each discount's best guess in O(K) steps, so a join costs O(K^2)
+    whatever the degrees.  The answer is rebuilt once, discounts top-down
+    and sets bottom-up, padding a side with its smallest unchosen ids when
+    a guess exceeds what it picked for itself; only then is a side's range
+    sorted.
 
     Forced vertices stay in the cotree: under partial scope a vertex
     demanding more than its degree gets the flat row [1], as a discount
@@ -283,7 +284,7 @@ def solve_cograph(inst: Instance) -> Solution:
     return solve(inst, "cograph")
 
 
-def _cograph(inst: Instance, tree: CotreeNode | None, *_: object) -> Iterable[int]:
+def _cograph(inst: Instance, tree: Cotree | None, *_: object) -> Iterable[int]:
     g = inst.graph
     n = g.n
     if n == 0:
@@ -291,39 +292,32 @@ def _cograph(inst: Instance, tree: CotreeNode | None, *_: object) -> Iterable[in
     if tree is None:
         # recognised here, after the total-scope feasibility check
         tree = build_modified_cotree(g)
+    kinds, ends, starts, leaves = tree
+    count = len(kinds)
     infeasible = n + 1  # a size no set reaches: the subproblem cannot be served
     alone = infeasible if inst.scope is Scope.TOTAL else 1
-    demands = inst.demands
-    adj = g._adj
-    # every parent before its children; node k's children sit side by side
-    # from position first[k]
-    nodes = [tree]
-    first = []
-    for node in nodes:
-        first.append(len(nodes))
-        nodes.extend(node.children)
-    count = len(nodes)
+    demands, adj = inst.demands, g._adj
     # minimum sizes per node and discount, up to the largest demand below
-    # (the row is 0 there and flat past it); per join, the best (i, j) per discount
+    # (the row is 0 there and flat past it); per join, the best (i, j) per
+    # discount.  A join's children are k + 1 and the end of k + 1's subtree.
     sizes: list[list[int]] = [[]] * count
     choices: list[list[tuple[int, int]]] = [[]] * count
     for k in range(count - 1, -1, -1):
-        node = nodes[k]
-        kind = node.kind
-        c = first[k]
+        kind = kinds[k]
         if kind == "leaf":
-            v = node.vertices[0]
+            v = leaves[starts[k]]
             kv = demands[v]
             # forced (partial scope only: total scope has raised)
             sizes[k] = [1] if kv > len(adj[v]) else [alone] * kv + [0]
         elif kind == "union":
-            parts = sizes[c : c + len(node.children)]
+            parts = [sizes[c] for c in tree.children(k)]
             width = max(map(len, parts))
             columns = zip(*[part + part[-1:] * (width - len(part)) for part in parts])
             sizes[k] = [s if s < infeasible else infeasible for s in map(sum, columns)]
         else:
+            d = ends[k + 1]
             sizes[k], choices[k] = _join_row(
-                sizes[c], sizes[c + 1], len(nodes[c].vertices), len(nodes[c + 1].vertices), infeasible
+                sizes[k + 1], sizes[d], starts[d] - starts[k], starts[ends[d]] - starts[d], infeasible
             )
     if sizes[0][0] == infeasible:
         raise InfeasibleError("no vertex subset satisfies the instance")
@@ -332,33 +326,27 @@ def _cograph(inst: Instance, tree: CotreeNode | None, *_: object) -> Iterable[in
     # right side j more
     discount = [0] * count
     for k in range(count):
-        node = nodes[k]
-        if node.kind == "leaf":
-            continue
-        r = discount[k]
-        c = first[k]
-        shifts = choices[k][r] if node.kind == "join" else (0,) * len(node.children)
-        for child, shift in enumerate(shifts, c):
-            top = len(sizes[child]) - 1
-            discount[child] = r + shift if r + shift < top else top
+        if kinds[k] != "leaf":
+            r = discount[k]
+            shifts = choices[k][r] if kinds[k] == "join" else repeat(0)
+            for child, shift in zip(tree.children(k), shifts):
+                top = len(sizes[child]) - 1
+                discount[child] = r + shift if r + shift < top else top
     # then the sets bottom-up: a join pads each side with its smallest
     # unchosen ids up to what the other side counts on
     in_set = bytearray(n)
     for k in range(count - 1, -1, -1):
-        node = nodes[k]
-        if node.kind == "leaf":
-            in_set[node.vertices[0]] = sizes[k][discount[k]]
-        elif node.kind == "join":
+        kind = kinds[k]
+        if kind == "leaf":
+            in_set[leaves[starts[k]]] = sizes[k][discount[k]]
+        elif kind == "join":
             i, j = choices[k][discount[k]]
-            c = first[k]
-            for side, want in ((c, j), (c + 1, i)):
+            for side, want in ((k + 1, j), (ends[k + 1], i)):
                 short = want - sizes[side][discount[side]]
-                for v in nodes[side].vertices:
-                    if short <= 0:
-                        break
-                    if not in_set[v]:
+                if short > 0:
+                    own = sorted(leaves[starts[side] : starts[ends[side]]])
+                    for v in [v for v in own if not in_set[v]][:short]:
                         in_set[v] = 1
-                        short -= 1
     return [v for v in range(n) if in_set[v]]
 
 
@@ -474,11 +462,9 @@ def _threshold_takes(
         ki = position_demand[i]
         pi = later_dom[i]
         if kinds[i] == "isolated":
-            assert pi == later_dom[i - 1]
             take = [ki > j for j in range(pi + 1)]
             row = [prev[j] + take[j] for j in range(pi + 1)]
         else:
-            assert later_dom[i - 1] == pi + 1, "discount column missing below"
             take, row = [], []
             for j in range(pi + 1):
                 need = ki - j
@@ -515,11 +501,9 @@ def _threshold(inst: Instance, ordering, *_: object) -> Iterable[int]:
     count = inst.graph.n
     if count == 0:
         return ()
-    order = ordering.order
-    kinds = ordering.kinds
-    later = ordering.later_dominating
+    order, kinds = ordering.order, ordering.kinds
     position_demand = [inst.demands[v] for v in order]
-    takes = _threshold_takes(count, position_demand, kinds, later)
+    takes = _threshold_takes(count, position_demand, kinds, ordering.later_dominating)
     # the discount each position is solved at, from 0 at the top down
     discount = [0] * count
     j = 0
@@ -536,8 +520,8 @@ def _threshold(inst: Instance, ordering, *_: object) -> Iterable[int]:
         elif kinds[i] == "dominating":
             need = position_demand[i] - j - len(chosen_local)
             if need > 0:
+                # the table stays out only when need <= i, so the pool suffices
                 pool = sorted(set(order[:i]) - chosen_local)
-                assert len(pool) >= need, "padding exceeded the available vertices"
                 chosen_local.update(pool[:need])
     return chosen_local
 
@@ -573,13 +557,9 @@ def _route(inst: Instance, method: str, cap: int) -> tuple[str, object]:
         if partial and (walk := tree_order(g)) is not None:
             return "tree", walk
         if n <= _RECOGNITION_CAP:
-            ordering = recognise(threshold_elimination_order, g)
-            if ordering is not None:
-                if partial:
-                    return "threshold", ordering
-                return "cograph", threshold_cotree(ordering)
-            cotree = recognise(build_modified_cotree, g)
-            if cotree is not None:
+            if (ordering := recognise(threshold_elimination_order, g)) is not None:
+                return ("threshold", ordering) if partial else ("cograph", threshold_cotree(ordering))
+            if (cotree := recognise(build_modified_cotree, g)) is not None:
                 return "cograph", cotree
         return ("oracle" if n <= cap else greedy), None
     if method == "oracle":

@@ -143,10 +143,7 @@ def _attachment_demand(alpha: Fraction, size: int) -> int:
     closed.  With ``k`` extra neighbours the vertex needs exactly one
     chosen neighbour beyond them.
     """
-    k = math.ceil((alpha * size - 1) / (1 - alpha)) if size >= 2 else 0
-    # both sides are identities of the ceiling; checked exactly
-    assert Fraction(k, size + k) < alpha <= Fraction(k + 1, size + k)
-    return k
+    return math.ceil((alpha * size - 1) / (1 - alpha)) if size >= 2 else 0
 
 
 def _attachment_demands(g: Graph, alpha: Fraction, nbhd: Neighborhood) -> tuple[int, ...]:

@@ -102,3 +102,19 @@ def relabelled(g: Graph, rng: random.Random) -> Graph:
         label[old] = new
     rows = (tuple(sorted(label[u] for u in g.neighbors(old))) for old in old_of_new)
     return Graph(tuple(rows), g.m)
+
+
+def caterpillar_2k2(blocks: int) -> Graph:
+    """A caterpillar cotree of 2K2 blocks, joined and united in turn.
+
+    Block b holds the edges 4b-(4b+1) and (4b+2)-(4b+3).  Each odd block
+    is joined to every block before it, and each even block is united
+    with them, so the cotree is about n levels deep.
+    """
+    edges = []
+    for b in range(blocks):
+        edges += [(4 * b, 4 * b + 1), (4 * b + 2, 4 * b + 3)]
+        if b % 2:
+            edges += [(u, v) for u in range(4 * b) for v in range(4 * b, 4 * b + 4)]
+    return build_graph(4 * blocks, edges)
+

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
 
 from vecdom import (
-    CotreeNode,
+    Cotree,
     Graph,
     Instance,
     Neighborhood,
@@ -44,7 +46,14 @@ from vecdom import decomposition
 from vecdom.decomposition import threshold_cotree
 from vecdom.generators import random_cograph, random_gnp, random_threshold, threshold_graph
 
-from .strategies import PROPERTY_SETTINGS, cographs, graphs, relabelled, threshold_graphs
+from .strategies import (
+    PROPERTY_SETTINGS,
+    caterpillar_2k2,
+    cographs,
+    graphs,
+    relabelled,
+    threshold_graphs,
+)
 
 
 def _induced_edge_count(g: Graph, quad: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -83,73 +92,76 @@ def _has_threshold_obstruction(g: Graph) -> bool:
     return False
 
 
-def _replay_edges(node: CotreeNode) -> set[tuple[int, int]]:
-    if node.kind == "leaf":
-        return set()
+def _vertices(tree: Cotree, k: int) -> tuple[int, ...]:
+    return tree.leaves[tree.starts[k] : tree.starts[tree.ends[k]]]
+
+
+def _replay_edges(tree: Cotree) -> set[tuple[int, int]]:
+    """Every pair a join puts across its two sides."""
     edges: set[tuple[int, int]] = set()
-    for child in node.children:
-        edges |= _replay_edges(child)
-    if node.kind == "join":
-        left, right = node.children
-        for u in left.vertices:
-            for v in right.vertices:
-                edges.add((min(u, v), max(u, v)))
+    for k, kind in enumerate(tree.kinds):
+        if kind == "join":
+            left, right = tree.children(k)
+            for u in _vertices(tree, left):
+                for v in _vertices(tree, right):
+                    edges.add((min(u, v), max(u, v)))
     return edges
 
 
-def _check_shape(node: CotreeNode) -> None:
-    if node.kind == "leaf":
-        assert node.vertices == (node.vertex,)
-        assert node.children == ()
-        return
-    if node.kind == "join":
-        assert len(node.children) == 2
-    else:
-        assert node.kind == "union"
-        assert len(node.children) >= 2
-        seen: set[int] = set()
-        firsts = [min(c.vertices) for c in node.children]
-        assert firsts == sorted(firsts)
-        for child in node.children:
-            assert not (seen & set(child.vertices))
-            seen |= set(child.vertices)
-    combined = sorted(v for c in node.children for v in c.vertices)
-    assert combined == sorted(node.vertices)
-    for child in node.children:
-        _check_shape(child)
+def _check_shape(tree: Cotree) -> None:
+    kinds, ends, starts, leaves = tree
+    count = len(kinds)
+    assert len(ends) == count and len(starts) == count + 1
+    assert sorted(leaves) == list(range(len(leaves))) and starts[-1] == len(leaves)
+    assert ends[0] == count
+    for k, kind in enumerate(kinds):
+        children = list(tree.children(k))
+        assert ends[k] <= count and all(ends[c] <= ends[k] for c in children)
+        if kind == "leaf":
+            assert ends[k] == k + 1 and starts[k + 1] == starts[k] + 1
+            continue
+        # the children's vertices fill the node's range in order
+        assert children and ends[children[-1]] == ends[k] and starts[k + 1] == starts[k]
+        if kind == "join":
+            assert len(children) == 2
+        else:
+            assert kind == "union"
+            assert len(children) >= 2
+            firsts = [min(_vertices(tree, c)) for c in children]
+            assert firsts == sorted(firsts)
 
 
 class TestModifiedCotree:
     def test_c4_shape(self) -> None:
-        root = build_modified_cotree(cycle_graph(4))
-        assert root.kind == "join"
-        kinds = sorted(child.kind for child in root.children)
-        assert kinds == ["union", "union"]
-        assert _replay_edges(root) == set(cycle_graph(4).edges())
+        tree = build_modified_cotree(cycle_graph(4))
+        _check_shape(tree)
+        assert tree.kinds[0] == "join"
+        assert [tree.kinds[c] for c in tree.children(0)] == ["union", "union"]
+        assert _replay_edges(tree) == set(cycle_graph(4).edges())
 
     def test_p4_rejected(self) -> None:
         with pytest.raises(NotCographError):
             build_modified_cotree(path_graph(4))
 
     def test_single_vertex(self) -> None:
-        root = build_modified_cotree(build_graph(1, []))
-        assert root.kind == "leaf"
-        assert root.vertex == 0
+        tree = build_modified_cotree(build_graph(1, []))
+        assert tree == Cotree(("leaf",), (1,), (0, 1), (0,))
 
     def test_complete_graph_binarized(self) -> None:
         # K_4 splits into 4 co-components; the modified tree peels them
         # pairwise, so every join stays binary.
-        root = build_modified_cotree(complete_graph(4))
-        _check_shape(root)
-        assert _replay_edges(root) == set(complete_graph(4).edges())
+        tree = build_modified_cotree(complete_graph(4))
+        _check_shape(tree)
+        assert tree.kinds == ("join", "leaf") * 3 + ("leaf",)
+        assert _replay_edges(tree) == set(complete_graph(4).edges())
 
     @given(cographs())
     @PROPERTY_SETTINGS
     def test_replay_reproduces_input(self, g) -> None:
-        root = build_modified_cotree(g)
-        _check_shape(root)
-        assert sorted(root.vertices) == list(range(g.n))
-        assert _replay_edges(root) == set(g.edges())
+        tree = build_modified_cotree(g)
+        _check_shape(tree)
+        assert len(tree.leaves) == g.n
+        assert _replay_edges(tree) == set(g.edges())
 
     @given(graphs())
     @PROPERTY_SETTINGS
@@ -296,30 +308,50 @@ def _reference_co_components(g: Graph, verts: list[int]) -> list[list[int]]:
     return comps
 
 
-def _recursive_cotree(g: Graph) -> CotreeNode:
+def _recursive_cotree(g: Graph) -> Cotree:
     if g.n == 0:
         raise NotCographError("cannot decompose the empty graph")
+    kinds: list[str] = []
+    ends: list[int] = []
+    starts: list[int] = []
+    leaves: list[int] = []
 
-    def decompose(verts: list[int]) -> CotreeNode:
+    def write(kind: str) -> int:
+        kinds.append(kind)
+        ends.append(0)
+        starts.append(len(leaves))
+        return len(kinds) - 1
+
+    def decompose(verts: list[int]) -> None:
         if len(verts) == 1:
-            return CotreeNode("leaf", (verts[0],))
+            node = write("leaf")
+            ends[node] = len(kinds)
+            leaves.append(verts[0])
+            return
         comps = _reference_components(g, verts)
         if len(comps) > 1:
-            return CotreeNode("union", tuple(verts), tuple(decompose(c) for c in comps))
+            node = write("union")
+            for comp in comps:
+                decompose(comp)
+            ends[node] = len(kinds)
+            return
         cocomps = _reference_co_components(g, verts)
         if len(cocomps) == 1:
             raise NotCographError(
                 f"vertices {tuple(verts)} induce a connected, co-connected subgraph"
             )
-        parts = [decompose(c) for c in cocomps]
-        node = parts[-1]
-        rest = list(cocomps[-1])
-        for part, cocomp in zip(reversed(parts[:-1]), reversed(cocomps[:-1])):
-            rest = sorted(rest + cocomp)
-            node = CotreeNode("join", tuple(rest), (part, node))
-        return node
+        # binary joins: each part but the last against everything after it
+        chain = []
+        for cocomp in cocomps[:-1]:
+            chain.append(write("join"))
+            decompose(cocomp)
+        decompose(cocomps[-1])
+        for node in chain:
+            ends[node] = len(kinds)
 
-    return decompose(sorted(g.vertices()))
+    decompose(sorted(g.vertices()))
+    starts.append(len(leaves))
+    return Cotree(tuple(kinds), tuple(ends), tuple(starts), tuple(leaves))
 
 
 def _certificate(build, g: Graph):
@@ -361,20 +393,22 @@ def test_recognisers_match_references() -> None:
     assert beyond_degree_bound >= 30
 
 
-def _split_count(root: CotreeNode) -> int:
-    """The splits one build of ``root`` takes: one per node of the unbinarised cotree.
+def _split_count(tree: Cotree) -> int:
+    """The splits one build of ``tree`` takes: one per node of the unbinarised cotree.
 
     That is one per union and one per chain of binary joins, whose head
     is a join below no join, plus the check that the whole graph is
     connected when the root is a join.
     """
-    count = root.kind == "join"
-    stack = [(root, "")]
-    while stack:
-        node, above = stack.pop()
-        count += node.kind == "union" or (node.kind == "join" and above != "join")
-        stack.extend((child, node.kind) for child in node.children)
-    return count
+    kinds = tree.kinds
+    above = [""] * len(kinds)
+    for k, kind in enumerate(kinds):
+        for child in tree.children(k):
+            above[child] = kind
+    heads = sum(
+        kind == "union" or (kind == "join" and up != "join") for kind, up in zip(kinds, above)
+    )
+    return (kinds[0] == "join") + heads
 
 
 def test_cotree_build_splits_each_node_once(monkeypatch) -> None:
@@ -414,13 +448,12 @@ def test_cotree_build_splits_each_node_once(monkeypatch) -> None:
         assert calls == expected, p
 
 
-def _cotree_depth(root: CotreeNode) -> int:
-    deepest, stack = 0, [(root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((child, depth + 1) for child in node.children)
-    return deepest
+def _cotree_depth(tree: Cotree) -> int:
+    depth = [1] * len(tree.kinds)
+    for k in range(len(depth)):
+        for child in tree.children(k):
+            depth[child] = depth[k] + 1
+    return max(depth)
 
 
 def test_deep_cotree_needs_no_recursion_limit(monkeypatch) -> None:
@@ -466,25 +499,75 @@ def test_threshold_cotree_equals_general_build() -> None:
             assert threshold_cotree(threshold_elimination_order(g)) == build_modified_cotree(g)
 
 
-def _join_chain(levels: int, bottom: int) -> CotreeNode:
-    """A chain of ``levels`` joins over vertices 0..levels; the deepest leaf holds ``bottom``."""
-    node = CotreeNode("leaf", (bottom,))
-    verts = [0]
-    for v in range(levels):
-        verts.append(v + 1)
-        node = CotreeNode("join", tuple(verts), (CotreeNode("leaf", (v + 1,)), node))
-    return node
+def _chain(levels: int) -> Cotree:
+    """The cotree of a threshold graph whose kinds alternate down from a join at vertex 0.
+
+    Vertex v sits at level v from the top, so each level's leaf comes
+    before the level below, and the deepest leaf is the last entry.
+    """
+    order = tuple(range(levels, -1, -1))
+    above = tuple(("dominating", "isolated")[(levels - i) % 2] for i in range(1, levels + 1))
+    return threshold_cotree(ThresholdOrdering(order, ("isolated",) + above, (0,) * len(order)))
 
 
-def test_deep_cotree_compares_hashes_and_prints() -> None:
+def test_deep_cotree_is_flat_to_compare_hash_and_print() -> None:
     levels = 1500
-    # only the deepest leaf differs: equality has to walk every level
-    chain, copy, changed = _join_chain(levels, 0), _join_chain(levels, 0), _join_chain(levels, -1)
-    assert levels > sys.getrecursionlimit()
+    chain, copy = _chain(levels), _chain(levels)
+    # only the deepest leaf differs: equality has to reach the last entry
+    changed = chain._replace(leaves=chain.leaves[:-1] + (-1,))
+    assert _cotree_depth(chain) > levels > sys.getrecursionlimit()
+    _check_shape(chain)
     assert chain == copy and not chain != copy
     assert chain != changed
     assert hash(chain) == hash(copy)
     assert len({chain, copy}) == 1
-    assert repr(chain).startswith("CotreeNode(kind='join'") and "<2 nodes>" in repr(chain)
-    assert str(CotreeNode("leaf", (4,))) == "CotreeNode(kind='leaf', vertices=(4,), children=<0 nodes>)"
+    assert repr(chain).startswith("Cotree(kinds=('join', 'leaf', 'union', 'leaf', ")
     assert chain != "join"
+
+
+class _Degrees(NamedTuple):
+    """What the threshold peel reads of a graph: its size and its degrees."""
+
+    n: int
+    degrees: list[int]
+
+    def degree(self, v: int) -> int:
+        return self.degrees[v]
+
+
+def _relabelled_random_threshold(n: int, rng: random.Random) -> _Degrees:
+    """``relabelled(random_threshold(n, rng), rng)`` as the peel sees it, without its edges."""
+    dominating = [False] + [rng.random() < 0.5 for _ in range(n - 1)]
+    degree, later = [0] * n, 0
+    for v in range(n - 1, -1, -1):
+        degree[v] = (v if dominating[v] else 0) + later
+        later += dominating[v]
+    old_of_new = list(range(n))
+    rng.shuffle(old_of_new)
+    return _Degrees(n, [degree[old] for old in old_of_new])
+
+
+def _retained(build, arg) -> int:
+    """The bytes still allocated once ``build(arg)`` has returned its certificate."""
+    tracemalloc.start()
+    try:
+        certificate = build(arg)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert certificate.kinds
+    return retained
+
+
+def test_cotree_certificates_are_linear_in_size() -> None:
+    for n in (1, 2, 60, 300):
+        rng = random.Random(n)
+        real = relabelled(random_threshold(n, rng), rng)
+        rng = random.Random(n)
+        assert threshold_elimination_order(
+            _relabelled_random_threshold(n, rng)
+        ) == threshold_elimination_order(real)
+    # about 7,000 nodes over 4,000 vertices; nested vertex tuples held 3.9M entries
+    ordering = threshold_elimination_order(_relabelled_random_threshold(4000, random.Random(4000)))
+    assert _retained(threshold_cotree, ordering) < 2_000_000
+    assert _retained(build_modified_cotree, caterpillar_2k2(250)) < 500_000

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import sys
 from itertools import combinations
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vecdom import (
+    Cotree,
     Instance,
     Neighborhood,
     Scope,
@@ -50,6 +52,7 @@ from vecdom.generators import (
 from .strategies import (
     PROPERTY_SETTINGS,
     THOROUGH_SETTINGS,
+    caterpillar_2k2,
     cographs,
     demands_for,
     instances,
@@ -354,13 +357,34 @@ class TestAutoSolve:
             assert len(sol.vertices) == len(brute_force_minimum(inst).vertices)
 
 
+class NestedCotree(NamedTuple):
+    """A cotree node in nested form: its kind, its vertices ascending, its children."""
+
+    kind: str
+    vertices: tuple[int, ...]
+    children: tuple["NestedCotree", ...]
+
+    @property
+    def vertex(self) -> int:
+        return self.vertices[0]
+
+
+def nested(tree: Cotree) -> NestedCotree:
+    """The flat cotree's root as nested nodes, rebuilt bottom-up without recursion."""
+    kinds, ends, starts, leaves = tree
+    built: list = [None] * len(kinds)
+    for k in range(len(kinds) - 1, -1, -1):
+        verts = tuple(sorted(leaves[starts[k] : starts[ends[k]]]))
+        built[k] = NestedCotree(kinds[k], verts, tuple(built[c] for c in tree.children(k)))
+    return built[0]
+
+
 def _unpruned_cograph(inst, tree, *_):
     """The cograph DP with every row running to the maximum degree, and no cap on the join search."""
     work = inst.graph
     if work.n == 0:
         return ()
-    if tree is None:
-        tree = build_modified_cotree(work)
+    tree = nested(build_modified_cotree(work) if tree is None else tree)
     work_k = inst.demands
     delta = work.max_degree()
     infeasible = work.n + 1
@@ -463,12 +487,19 @@ def _random_row(rng: random.Random, side: int, top: int, infeasible: int) -> lis
 
 def test_join_row_matches_scan_of_every_pair() -> None:
     rng = random.Random("join-row-vs-scan")
-    for index in range(5000):
-        n_left, n_right = rng.randint(1, 40), rng.randint(1, 40)
-        infeasible = n_left + n_right + 1 + rng.randint(0, 3)
-        # most joins sit below small demands; some reach K = 30
-        big = index % 4 == 0
-        tops = [rng.randint(0, 30 if big else 6) for _ in range(2)]
+    for index in range(7000):
+        if index < 5000:
+            n_left, n_right = rng.randint(1, 40), rng.randint(1, 40)
+            infeasible = n_left + n_right + 1 + rng.randint(0, 3)
+            # most joins sit below small demands; some reach K = 30
+            big = index % 4 == 0
+            tops = [rng.randint(0, 30 if big else 6) for _ in range(2)]
+        else:
+            # a deep cotree's joins: long rows against a side of one to four vertices
+            sides = [rng.randint(1, 4), rng.randint(5, 60)]
+            n_left, n_right = sides if rng.random() < 0.5 else sides[::-1]
+            infeasible = n_left + n_right + 1
+            tops = [rng.randint(5, 50) for _ in range(2)]
         left = _random_row(rng, n_left, tops[0], infeasible)
         right = _random_row(rng, n_right, tops[1], infeasible)
         expected = _scanned_join_row(left, right, n_left, n_right, infeasible)
@@ -489,6 +520,12 @@ def _outcomes(inst: Instance) -> list:
 
 
 def test_cograph_rows_to_largest_demand_match_rows_to_max_degree(monkeypatch) -> None:
+    def check(inst: Instance, case: object) -> None:
+        found = _outcomes(inst)
+        with monkeypatch.context() as patch:
+            patch.setitem(exact._EXACT, "cograph", _unpruned_cograph)
+            assert found == _outcomes(inst), case
+
     rng = random.Random("cograph-rows-vs-max-degree")
     demand_caps = (lambda d: 1, lambda d: 2, lambda d: 4, lambda d: d, lambda d: d + 2)
     for index in range(1000):
@@ -497,12 +534,41 @@ def test_cograph_rows_to_largest_demand_match_rows_to_max_degree(monkeypatch) ->
         cap = demand_caps[index % len(demand_caps)]
         demands = tuple(rng.randint(0, cap(g.degree(v))) for v in range(n))
         scope = Scope.TOTAL if index % 4 >= 2 else Scope.PARTIAL
-        inst = Instance(g, Neighborhood.OPEN, scope, demands)
-        found = _outcomes(inst)
-        with monkeypatch.context() as patch:
-            patch.setitem(exact._EXACT, "cograph", _unpruned_cograph)
-            expected = _outcomes(inst)
-        assert found == expected, index
+        check(Instance(g, Neighborhood.OPEN, scope, demands), index)
+    # deep cotrees: 2K2 caterpillars and relabelled threshold graphs, demands up to the degree
+    for index in range(120):
+        if index % 2:
+            g = caterpillar_2k2(rng.randint(1, 11))
+            if index % 4 == 1:
+                g = relabelled(g, rng)
+        else:
+            g = relabelled(random_threshold(rng.randint(1, 45), rng), rng)
+        cap = (lambda d: d, lambda d: d + 1)[index % 6 == 0]
+        demands = tuple(rng.randint(0, cap(g.degree(v))) for v in range(g.n))
+        scope = Scope.TOTAL if index % 3 == 0 else Scope.PARTIAL
+        check(Instance(g, Neighborhood.OPEN, scope, demands), ("deep", index))
+
+
+def test_threshold_padding_never_runs_short(monkeypatch) -> None:
+    """A dominating vertex left out finds all the padding it needs below it."""
+    shortfalls = []
+
+    def checked_sorted(pool):
+        padding = sorted(pool)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_threshold":
+            shortfalls.append(caller.f_locals["need"] - len(padding))
+        return padding
+
+    monkeypatch.setattr(exact, "sorted", checked_sorted, raising=False)
+    rng = random.Random("threshold-padding")
+    for index in range(1000):
+        g = relabelled(random_threshold(rng.randint(2, 40), rng), rng)
+        cap = (lambda d: 2, lambda d: d, lambda d: d + 1)[index % 3]
+        solve_threshold_vector(g, tuple(rng.randint(0, cap(g.degree(v))) for v in range(g.n)))
+    # some paddings take every vertex left below
+    assert len(shortfalls) >= 50 and shortfalls.count(0) >= 10
+    assert max(shortfalls) <= 0
 
 
 def test_threshold_dp_equals_cograph_dp_beyond_oracle() -> None:

@@ -121,6 +121,16 @@ class TestAlphaDomination:
         with pytest.raises(AlphaOutOfRangeError):
             gadget_alpha_domination(complete_graph(2), Fraction(1))
 
+    def test_attachment_demand_brackets_alpha(self) -> None:
+        # with k extra neighbours, a vertex needs exactly one chosen neighbour
+        # beyond them: k / (size + k) < alpha <= (k + 1) / (size + k), exactly
+        for q in range(2, 14):
+            for p in range(1, q):
+                alpha = Fraction(p, q)
+                for size in range(1, 60):
+                    k = gadgets._attachment_demand(alpha, size)
+                    assert Fraction(k, size + k) < alpha <= Fraction(k + 1, size + k), (alpha, size)
+
 
 class TestTotalAlpha:
     def test_edge_with_two_blocks(self) -> None:

@@ -188,7 +188,7 @@ def test_solver_sizes_match_golden_digest() -> None:
 
 
 def test_solver_digest_same_under_optimize_flag() -> None:
-    # -O strips every assert, CotreeNode's shape checks among them
+    # -O strips asserts: src holds none, so the outputs must not move
     root = Path(__file__).resolve().parents[1]
     script = (
         "from tests.test_pipeline import _digest, _solver_records\n"
