@@ -99,12 +99,16 @@ def threshold_graph(dominating: Sequence[bool]) -> Graph:
     when true.
     """
     n = len(dominating) + 1
-    edges = []
-    for i, dom in enumerate(dominating):
-        if dom:
-            v = i + 1
-            edges.extend((u, v) for u in range(v))
-    return build_graph(n, edges)
+    vertices = tuple(range(n))
+    later = tuple(v for v in range(1, n) if dominating[v - 1])  # dominating, ascending
+    rows, k = [], 0  # later[k:] are the dominating vertices after v
+    for v in vertices:
+        if v and dominating[v - 1]:
+            k += 1
+            rows.append(vertices[:v] + later[k:])
+        else:
+            rows.append(later[k:])
+    return Graph(tuple(rows), sum(later))
 
 
 def random_threshold(n: int, rng: random.Random) -> Graph:

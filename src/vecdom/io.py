@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from itertools import repeat
 from operator import sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CountMismatchError,
@@ -37,25 +37,33 @@ __all__ = [
 MAX_VERTICES = 1_000_000
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # the line breaks str.splitlines knows
+# one line of text as str.splitlines() ends it, its line break included
+_TEXT_LINE = re.compile(rf"[^{_BREAKS}]*(?:\r\n|[{_BREAKS}]|\Z)")
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    # lazily, so that a reader stops copying the text at its first bad line
+    for number, raw in enumerate(map(re.Match.group, _TEXT_LINE.finditer(text)), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        lines.append((number, line))
-    return lines
+        yield number, line
 
 
 # Blank lines, comments, the header and plain lines (numbers of at most nine
 # digits, which int() always reads, split by spaces or tabs) are read in bulk:
-# one split, int over the fields.  Other text goes line by line, as before.
-_COMMENT_LINE = re.compile(r"^[^\S\n]*c[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", re.M)
+# one split over the whole text.  Other text goes line by line.
+_COMMENT_LINE = re.compile(rf"^[^\S\n]*c[^{_BREAKS}]*", re.M)
 _HEADER = re.compile(r"\s*p[ \t]+edge[ \t]+([0-9]{1,9})[ \t]+([0-9]{1,9})[ \t\r]*(?=\n|\Z)")
-# a newline followed by neither a blank line nor one plain line of the kind
-_ODD_LINE = r"\n(?![ \t]*%s[ \t\r]*(?:\n|\Z)|[^\S\n]*(?:\n|\Z))"
-_ODD_EDGE_LINE = re.compile(_ODD_LINE % r"e[ \t]+[0-9]{1,9}[ \t]+[0-9]{1,9}")
-_ODD_DEMAND_LINE = re.compile(_ODD_LINE % r"[0-9]{1,9}[ \t]+[0-9]{1,9}")
+# a line of a file in bulk, tried in this order: the plain line with single
+# spaces up to its end, the plain line with any blanks and a CR ending, a
+# blank line; possessive, so a text that fails is never rescanned
+_LINE_OF = r"(?:%s(?=\n|\Z)|[ \t]*%s[ \t\r]*|[^\S\n]*)"
+_EDGE_LINE = _LINE_OF % (r"e [0-9]{1,9}+ [0-9]{1,9}+", r"e[ \t]+[0-9]{1,9}[ \t]+[0-9]{1,9}")
+_DEMAND_LINE = _LINE_OF % (r"[0-9]{1,9}+ [0-9]{1,9}+", r"[0-9]{1,9}[ \t]+[0-9]{1,9}")
+_EDGE_LINES = re.compile(rf"(?:\n{_EDGE_LINE})*+")  # the lines after the header
+_DEMAND_LINES = re.compile(rf"{_DEMAND_LINE}(?:\n{_DEMAND_LINE})*+")
 
 
 def _without_comments(text: str) -> str:
@@ -66,6 +74,15 @@ def _without_comments(text: str) -> str:
 def parse_graph(text: str) -> Graph:
     """Read a graph: comments "c ...", one "p edge <n> <m>", then e-lines.
 
+    A file whose every line is blank, a comment, the header or a plain
+    e-line is read in bulk: one fullmatch checks the lines, one split
+    gives the fields.  A dense file (more edges than vertices) reads its
+    ids through a table of the n names "1".."n"; a sparse one uses int,
+    which costs less there than building the table.  Any other file, and
+    an id the table lacks, goes to the line-by-line reader, which gives
+    the same graph or the same error.  A header above ``MAX_VERTICES`` is
+    refused before the lines are matched or split.
+
     Raises:
         MalformedError: missing or repeated header, an unreadable line, or
             a header declaring more than ``MAX_VERTICES`` vertices.
@@ -75,14 +92,24 @@ def parse_graph(text: str) -> Graph:
     """
     body = _without_comments(text)
     header = _HEADER.match(body)
-    if header is None or _ODD_EDGE_LINE.search(body, header.end()):
+    if header is None:
+        return _parse_graph_by_line(text)
+    n, m = int(header[1]), int(header[2])
+    if n > MAX_VERTICES or not _EDGE_LINES.fullmatch(body, header.end()):
         return _parse_graph_by_line(text)
     fields = body.split()
-    n, m = int(header[1]), int(header[2])
-    if n > MAX_VERTICES or len(fields) != 4 + 3 * m:
+    if len(fields) != 4 + 3 * m:
         return _parse_graph_by_line(text)
-    tails = list(map(sub, map(int, fields[5::3]), repeat(1)))  # ids from 0
-    heads = list(map(sub, map(int, fields[6::3]), repeat(1)))
+    if m > n:  # dense: each id is one lookup, and rows share one int per vertex
+        ids = dict(zip(map(str, range(1, n + 1)), range(n)))
+        try:
+            tails = list(map(ids.__getitem__, fields[5::3]))
+            heads = list(map(ids.__getitem__, fields[6::3]))
+        except KeyError:  # 0, a leading zero or an id above n
+            return _parse_graph_by_line(text)
+    else:  # sparse: building the table would cost more than int
+        tails = list(map(sub, map(int, fields[5::3]), repeat(1)))  # ids from 0
+        heads = list(map(sub, map(int, fields[6::3]), repeat(1)))
     del fields  # free the tokens before the graph is built
     return _graph_from_ends(n, tails, heads)
 
@@ -145,7 +172,7 @@ def parse_demands(text: str, g: Graph) -> tuple[int, ...]:
         DuplicateVertexError: the same vertex appears twice.
     """
     body = _without_comments(text)
-    if _ODD_DEMAND_LINE.search("\n" + body):  # the first line too
+    if not _DEMAND_LINES.fullmatch(body):
         return _parse_demands_by_line(text, g)
     fields = body.split()
     ids = list(map(int, fields[0::2]))

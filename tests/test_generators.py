@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 from hypothesis import given
@@ -78,6 +79,27 @@ class TestFamilies:
 
     def test_threshold_all_dominating_is_complete(self) -> None:
         assert threshold_graph([True, True, True]).is_complete()
+
+    def test_threshold_rows_match_the_edge_list_build(self) -> None:
+        rng = random.Random(60)
+        for _ in range(300):
+            dominating = [rng.random() < rng.random() for _ in range(rng.randint(0, 59))]
+            edges = [(u, v) for v, dom in enumerate(dominating, start=1) if dom for u in range(v)]
+            g = threshold_graph(dominating)
+            assert g == build_graph(len(dominating) + 1, edges)
+            assert (g.m, g.max_degree()) == (len(edges), max(g.degrees()))
+
+    def test_threshold_build_holds_rows_not_edges(self) -> None:
+        rng = random.Random(2000)
+        dominating = [rng.random() < 0.5 for _ in range(1999)]
+        tracemalloc.start()
+        try:
+            g = threshold_graph(dominating)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rows hold 2m entries of 8 bytes; an edge list of tuples costs about 250 bytes an edge
+        assert peak < 20 * g.m + 1_000_000
 
     def test_gnp_extremes(self) -> None:
         rng = random.Random(7)

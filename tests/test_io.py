@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -73,6 +75,20 @@ class TestParseGraph:
         assert MAX_VERTICES >= 10**6
         with pytest.raises(MalformedError):
             parse_graph(f"p edge {MAX_VERTICES + 1} 0\n")
+
+    def test_over_limit_header_is_refused_before_the_body_is_split(self) -> None:
+        rng = random.Random(1)
+        edges = "".join(f"e {rng.randint(1, 99999)} {rng.randint(1, 99999)}\n" for _ in range(200_000))
+        text = f"p edge {MAX_VERTICES + 1} 200000\n" + edges
+        message = f"line 1: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedError, match=f"^{message}$"):
+                parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text)
 
     def test_vertex_zero_rejected_in_one_based_format(self) -> None:
         with pytest.raises(OutOfRangeError):

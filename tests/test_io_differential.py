@@ -9,6 +9,7 @@ input must give an equal result, or the same error class and message.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from vecdom.errors import (
     NegativeDemandError,
     OutOfRangeError,
     SelfLoopError,
-    VecdomError,
 )
 from vecdom.io import MAX_VERTICES, parse_demands, parse_graph
 
@@ -127,7 +127,7 @@ def reference_parse_demands(text: str, n: int) -> tuple[int, ...]:
 def _outcome(fn, *args) -> tuple:
     try:
         result = fn(*args)
-    except VecdomError as exc:
+    except Exception as exc:  # anything but the reference's VecdomError differs from it
         return (type(exc), str(exc))
     if isinstance(result, Graph):
         return ("graph", result.n, result.m, tuple(map(result.neighbors, result.vertices())))
@@ -135,11 +135,11 @@ def _outcome(fn, *args) -> tuple:
 
 
 def assert_graph_agrees(text: str) -> None:
-    assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text), repr(text)
+    assert _outcome(vio.parse_graph, text) == _outcome(reference_parse_graph, text), repr(text)
 
 
 def assert_demands_agree(text: str, n: int) -> None:
-    got = _outcome(parse_demands, text, path_graph(n) if n else Graph((), 0))
+    got = _outcome(vio.parse_demands, text, path_graph(n) if n else Graph((), 0))
     assert got == _outcome(reference_parse_demands, text, n), repr(text)
 
 
@@ -258,6 +258,126 @@ def test_graph_edge_cases_match_reference(text: str) -> None:
     assert_graph_agrees(text)
 
 
+# -- dense and sparse files, and the lines that leave the bulk path ---------
+
+
+def _split_edge(lines: list[str], rng: random.Random) -> None:
+    """Move the first two tokens of one edge line onto the end of the line before."""
+    i = rng.randrange(1, len(lines))
+    tokens = lines[i].split()
+    lines[i - 1] += " " + " ".join(tokens[:2])
+    lines[i] = tokens[2]
+
+
+def _change_id(lines: list[str], rng: random.Random, new_id) -> None:
+    i = rng.randrange(1, len(lines))
+    tokens = lines[i].split()
+    j = rng.choice((1, 2))
+    tokens[j] = new_id(tokens[j])
+    lines[i] = " ".join(tokens)
+
+
+def _inside_a_line(lines: list[str], rng: random.Random, blank: str) -> None:
+    i = rng.randrange(1, len(lines))
+    lines[i] = lines[i].replace(" ", blank, 1) if rng.random() < 0.5 else lines[i] + blank
+
+
+def _tabbed(lines: list[str], rng: random.Random) -> None:
+    lines[:] = [line.replace(" ", rng.choice(("\t", " \t", "\t\t"))) for line in lines]
+
+
+# each case rewrites in place the lines of a valid file on n vertices
+CASES = {
+    "plain": lambda lines, rng, n: None,
+    "leading zero": lambda lines, rng, n: _change_id(lines, rng, lambda t: "0" + t),
+    "id 0": lambda lines, rng, n: _change_id(lines, rng, lambda t: "0"),
+    "id n + 1": lambda lines, rng, n: _change_id(lines, rng, lambda t: str(n + 1)),
+    "+1": lambda lines, rng, n: _change_id(lines, rng, lambda t: "+" + t),
+    "ten digits": lambda lines, rng, n: _change_id(
+        lines, rng, lambda t: rng.choice((t.zfill(10), "1234567890"))
+    ),
+    "tabs": lambda lines, rng, n: _tabbed(lines, rng),
+    "blank lines": lambda lines, rng, n: lines.insert(
+        rng.randint(1, len(lines)), rng.choice(("", " ", "\t", " \t ", "\r"))
+    ),
+    "\\x0b in a line": lambda lines, rng, n: _inside_a_line(lines, rng, "\x0b"),
+    "\\x1c in a line": lambda lines, rng, n: _inside_a_line(lines, rng, "\x1c"),
+    "an edge split across lines": lambda lines, rng, n: _split_edge(lines, rng),
+}
+
+
+def _density_text(rng: random.Random, dense: bool, case: str) -> str:
+    """A file with more edges than vertices (dense) or at most as many, rewritten by ``case``."""
+    n = rng.randint(4, 12) if dense else rng.randint(2, 12)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    m = rng.randint(n + 1, len(pairs)) if dense else rng.randint(1, min(n, len(pairs)))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in rng.sample(pairs, m)]
+    lines = [f"p edge {n} {m}"] + [f"e {u} {v}" for u, v in edges]
+    CASES[case](lines, rng, n)
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def _density_cases_match_reference(dense: bool) -> None:
+    for case in CASES:
+        rng = random.Random(f"{case}:{dense}")
+        for _ in range(40):
+            assert_graph_agrees(_density_text(rng, dense, case))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_dense_and_sparse_cases_match_reference(dense: bool) -> None:
+    _density_cases_match_reference(dense)
+
+
+def test_density_cases_are_what_they_say() -> None:
+    for dense in (False, True):
+        rng = random.Random(dense)
+        for _ in range(50):
+            g = parse_graph(_density_text(rng, dense, "plain"))
+            assert (g.m > g.n) == dense
+
+
+# the bulk path's line grammar before it became one fullmatch per file kind:
+# a newline followed by neither a blank line nor one plain line of the kind
+_ODD_LINE = r"\n(?![ \t]*%s[ \t\r]*(?:\n|\Z)|[^\S\n]*(?:\n|\Z))"
+_ODD_EDGE_LINE = re.compile(_ODD_LINE % r"e[ \t]+[0-9]{1,9}[ \t]+[0-9]{1,9}")
+_ODD_DEMAND_LINE = re.compile(_ODD_LINE % r"[0-9]{1,9}[ \t]+[0-9]{1,9}")
+
+GRAMMAR_TOKENS = ["1", "23", "0", "007", "123456789", "1234567890", "+1", "x", "e", "ee"]
+GRAMMAR_GAPS = [" "] * 8 + ["  ", "\t", " \t", "\x0b", "\x1c", "\r", "\f", "\u3000", ""]
+GRAMMAR_ENDS = [""] * 8 + [" ", "\t", "\r", " \r", "\r\r", "\x0b", "\x1c", "\x85"]
+
+
+def _grammar_line(rng: random.Random, edge: bool) -> str:
+    if rng.random() < 0.15:
+        return rng.choice(["", " ", "\t", "\r", "\x0b", " \x1c ", "\f\t"])
+    if rng.random() < 0.6:  # a plain line, perhaps with other blanks
+        tokens = (["e"] if edge else []) + [str(rng.randint(0, 10**rng.randint(1, 9))) for _ in range(2)]
+    else:
+        tokens = [rng.choice(GRAMMAR_TOKENS) for _ in range(rng.randint(1, 4))]
+    gaps = [" " if rng.random() < 0.7 else rng.choice(GRAMMAR_GAPS) for _ in tokens]
+    lead = rng.choice(["", " ", "\t", "\r"]) if rng.random() < 0.1 else ""
+    return lead + "".join(gap + token for gap, token in zip(gaps, tokens))[1:] + rng.choice(GRAMMAR_ENDS)
+
+
+@pytest.mark.parametrize("edge", [True, False], ids=["edge", "demand"])
+def test_line_grammar_accepts_what_the_old_search_accepted(edge: bool) -> None:
+    rng = random.Random(f"grammar:{edge}")
+    accepted = 0
+    for _ in range(4000):
+        lines = [_grammar_line(rng, edge) for _ in range(rng.randint(0, 6))]
+        if edge:  # what follows the header, each line after a newline
+            text = "".join("\n" + line for line in lines)
+            new, old = vio._EDGE_LINES.fullmatch(text), _ODD_EDGE_LINE.search(text)
+        else:
+            text = "\n".join(lines)
+            new, old = vio._DEMAND_LINES.fullmatch(text), _ODD_DEMAND_LINE.search("\n" + text)
+        assert (new is not None) == (old is None), repr(text)
+        accepted += new is not None
+    assert 400 < accepted < 3600  # both sides of the grammar are exercised
+
+
 FRAGMENTS = ["p", "edge", "e", "c", "0", "1", "2", "3", "-1", "x", " ", "\t", "\n", "\r\n", "\r", "\x1e", "\u2028"]
 
 
@@ -288,16 +408,19 @@ def no_line_reader(monkeypatch: pytest.MonkeyPatch) -> None:
 @pytest.mark.parametrize("break_", ["\n", "\r\n"])
 @pytest.mark.parametrize("decorated", [False, True])
 def test_valid_files_never_reach_the_line_reader(no_line_reader, break_: str, decorated: bool) -> None:
-    rng = random.Random(7)
-    n = 300
-    edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
-    lines = [f"p edge {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
-    demand_lines = [f"{v} {rng.randint(0, 3)}" for v in range(1, n + 1, 2)]
-    if decorated:  # comments, blank lines, tabs, indentation and trailing blanks
-        lines = ["c generated", ""] + [f"\t{line}  " for line in lines] + ["", "c end"]
-        demand_lines = ["c demands", " "] + [line.replace(" ", "\t") + " " for line in demand_lines]
-    text = break_.join(lines) + break_
-    g = parse_graph(text)
-    assert g == reference_parse_graph(text)
-    dtext = break_.join(demand_lines)
-    assert parse_demands(dtext, g) == reference_parse_demands(dtext, n)
+    for dense in (False, True):
+        rng = random.Random(7)
+        n = 300
+        edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+        if dense:  # the tree and a second edge to every vertex above 2: m = 2n - 3 > n
+            edges += [(rng.choice([u for u in range(1, v) if u != t]), v) for t, v in edges[1:]]
+        lines = [f"p edge {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+        demand_lines = [f"{v} {rng.randint(0, 3)}" for v in range(1, n + 1, 2)]
+        if decorated:  # comments, blank lines, tabs, indentation and trailing blanks
+            lines = ["c generated", ""] + [f"\t{line}  " for line in lines] + ["", "c end"]
+            demand_lines = ["c demands", " "] + [line.replace(" ", "\t") + " " for line in demand_lines]
+        text = break_.join(lines) + break_
+        g = parse_graph(text)
+        assert g == reference_parse_graph(text) and (g.m > g.n) == dense
+        dtext = break_.join(demand_lines)
+        assert parse_demands(dtext, g) == reference_parse_demands(dtext, n)

@@ -30,6 +30,7 @@ from vecdom import (
     solve_tree_vector,
 )
 from vecdom import approx, decomposition, exact, feasibility
+from vecdom import io as vio
 from vecdom.errors import VecdomError
 from vecdom.generators import prufer_to_tree, random_cograph, random_threshold
 
@@ -44,6 +45,7 @@ from .test_exact import (
     _scanned_join_row,
     _unpruned_cograph,
 )
+from .test_io_differential import _density_cases_match_reference
 
 
 def _greedies_match_eager() -> None:
@@ -117,6 +119,10 @@ def _cotrees_match_reference() -> None:
         assert tree == _recursive_cotree(g)
 
 
+def _dense_files_match_reference() -> None:
+    _density_cases_match_reference(dense=True)
+
+
 class Mutant(NamedTuple):
     owner: object  # the module or class that defines the function
     name: str
@@ -176,6 +182,13 @@ MUTANTS = {
     "a join chain is peeled from its last part": Mutant(
         decomposition, "build_modified_cotree",
         (('return "join", parts', 'return "join", parts[::-1]'),), _cotrees_match_reference,
+    ),
+    # the dense files' name table
+    "the name table is shifted by one": Mutant(
+        vio, "parse_graph", (("range(1, n + 1)", "range(n)"),), _dense_files_match_reference,
+    ),
+    "a name missing from the table escapes as a KeyError": Mutant(
+        vio, "parse_graph", (("except KeyError:", "except ():"),), _dense_files_match_reference,
     ),
 }
 
