@@ -108,15 +108,20 @@ def bench_suite(config: BenchConfig) -> BenchReport:
     construction, so the interesting values come from the greedy).
 
     Raises:
-        MalformedError: some size is below 1.
+        MalformedError: some size or the repetition count is below 1, or
+            the edge probability is outside [0, 1].
     """
     if any(size < 1 for size in config.sizes):
         raise MalformedError(f"sizes must all be at least 1, got {config.sizes}")
+    if config.repetitions < 1:
+        raise MalformedError(f"repetitions must be at least 1, got {config.repetitions}")
+    if not 0 <= config.edge_probability <= 1:  # nan included
+        raise MalformedError(f"edge probability must be in [0, 1], got {config.edge_probability}")
     cells = []
     for size in config.sizes:
         inst = _build_cell_instance(config, size)
         times = []
-        for _ in range(max(config.repetitions, 1)):
+        for _ in range(config.repetitions):
             start = time.perf_counter()
             solution = solve(inst, _METHODS[config.family], config.oracle_cap)
             times.append(time.perf_counter() - start)

@@ -53,7 +53,7 @@ METHODS = ("auto", "greedy", "oracle", "tree", "cograph", "threshold", "complete
 # auto attempts class recognition only below this size: the threshold
 # ordering and its caterpillar cotree are cheap, but the general cotree
 # build, which every non-threshold graph meets, grows about as m^1.5 on a
-# deep cotree (see ROADMAP item 1)
+# deep cotree (see ROADMAP item 2)
 _RECOGNITION_CAP = 4096
 
 
@@ -261,11 +261,11 @@ def solve_cograph(inst: Instance) -> Solution:
     up their parts; a join node guesses, per discount, how many vertices
     each side will contribute to the other, and never guesses more than
     brings the receiving side's row to its end.  :func:`_join_row` finds
-    each discount's best guess in O(K) steps, so a join costs O(K^2)
+    each discount's least size in O(K) steps, so a join costs O(K^2)
     whatever the degrees.  The answer is rebuilt once, discounts top-down
-    and sets bottom-up, padding a side with its smallest unchosen ids when
-    a guess exceeds what it picked for itself; only then is a side's range
-    sorted.
+    (:func:`_join_pair` finds a join's guess at its discount) and sets
+    bottom-up, padding a side with its smallest unchosen ids when a guess
+    exceeds what it picked for itself; only then is a side's range sorted.
 
     Forced vertices stay in the cotree: under partial scope a vertex
     demanding more than its degree gets the flat row [1], as a discount
@@ -298,10 +298,10 @@ def _cograph(inst: Instance, tree: Cotree | None, *_: object) -> Iterable[int]:
     alone = infeasible if inst.scope is Scope.TOTAL else 1
     demands, adj = inst.demands, g._adj
     # minimum sizes per node and discount, up to the largest demand below
-    # (the row is 0 there and flat past it); per join, the best (i, j) per
-    # discount.  A join's children are k + 1 and the end of k + 1's subtree.
+    # (the row is 0 there and flat past it).  A join's children are k + 1
+    # and the end of k + 1's subtree, with sides[k] their vertex counts.
     sizes: list[list[int]] = [[]] * count
-    choices: list[list[tuple[int, int]]] = [[]] * count
+    sides: dict[int, tuple[int, int]] = {}
     for k in range(count - 1, -1, -1):
         kind = kinds[k]
         if kind == "leaf":
@@ -316,20 +316,21 @@ def _cograph(inst: Instance, tree: Cotree | None, *_: object) -> Iterable[int]:
             sizes[k] = [s if s < infeasible else infeasible for s in map(sum, columns)]
         else:
             d = ends[k + 1]
-            sizes[k], choices[k] = _join_row(
-                sizes[k + 1], sizes[d], starts[d] - starts[k], starts[ends[d]] - starts[d], infeasible
-            )
+            sides[k] = starts[d] - starts[k], starts[ends[d]] - starts[d]
+            sizes[k] = _join_row(sizes[k + 1], sizes[d], *sides[k], infeasible)
     if sizes[0][0] == infeasible:
         raise InfeasibleError("no vertex subset satisfies the instance")
     # the discount each node is solved at, top-down from 0 at the root and
-    # clipped to the node's own row; a join's left side gets i more, its
-    # right side j more
+    # clipped to the node's own row; a join's (i, j) is found at that one
+    # discount, and its left side gets i more, its right side j more
     discount = [0] * count
+    pairs: dict[int, tuple[int, int]] = {}
     for k in range(count):
         if kinds[k] != "leaf":
             r = discount[k]
-            shifts = choices[k][r] if kinds[k] == "join" else repeat(0)
-            for child, shift in zip(tree.children(k), shifts):
+            if kinds[k] == "join":
+                pairs[k] = _join_pair(sizes[k + 1], sizes[ends[k + 1]], *sides[k], r, sizes[k][r])
+            for child, shift in zip(tree.children(k), pairs.get(k, repeat(0))):
                 top = len(sizes[child]) - 1
                 discount[child] = r + shift if r + shift < top else top
     # then the sets bottom-up: a join pads each side with its smallest
@@ -340,7 +341,7 @@ def _cograph(inst: Instance, tree: Cotree | None, *_: object) -> Iterable[int]:
         if kind == "leaf":
             in_set[leaves[starts[k]]] = sizes[k][discount[k]]
         elif kind == "join":
-            i, j = choices[k][discount[k]]
+            i, j = pairs[k]
             for side, want in ((k + 1, j), (ends[k + 1], i)):
                 short = want - sizes[side][discount[side]]
                 if short > 0:
@@ -352,91 +353,64 @@ def _cograph(inst: Instance, tree: Cotree | None, *_: object) -> Iterable[int]:
 
 def _join_row(
     left: list[int], right: list[int], n_left: int, n_right: int, infeasible: int
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """A join node's row from its sides' rows, and the pair (i, j) behind each entry.
+) -> list[int]:
+    """A join node's row from its sides' rows.
 
     At discount r the left side is promised i more chosen neighbours from
     the right and the right side j more from the left, for a size of
     g(i, j) = max(A_i, j) + max(B_j, i) with A_i = left[r + i] and
     B_j = right[r + j].  Both are non-increasing, ``infeasible`` on a
-    prefix and flat past their rows' ends, so i stops at the left row's
-    end or at n_right and j at the right row's end or at n_left.  The pair
-    is the first minimum in (i, j) order, the one a scan of every pair
-    meets first.
+    prefix and flat past their rows' ends, so i stops at I, the left row's
+    end or n_right, and j at J, the right row's end or n_left.
 
-    For a fixed i, g is least at j = min(A_i, last j), where
-    g = A_i + max(B_j, i); at the smallest j + B_j over A_i < j with
-    B_j >= i; or at the first j past A_i with B_j < i, where g = j + i.
-    Both ends of the middle window only move left as i grows, so a queue
-    of rising values keeps its minimum, and a discount costs O(K) for the
-    largest demand K below the join, not O(K^2).  The j of the first
-    minimising i comes from one scan.
+    Raising j to min(A_i, J) or i to min(B_j, I) never raises g, so the
+    least g is i + j with j = max(A_i, the first j with B_j <= i) for some
+    i, or g(i, J) where that j passes J, or g(I, j) with B_j > I.  The
+    first j with B_j <= i only moves left as i grows, so a discount costs
+    O(I + J), and a join O(K^2) for the largest demand K below it.
     """
-    top_left, top_right = len(left) - 1, len(right) - 1
     row: list[int] = []
-    chosen: list[tuple[int, int]] = []
-    # the window's candidates from queue_j[head] to queue_j[tail - 1],
-    # largest j first, with their values j + b[j] rising
-    queue_j = [0] * (min(n_left, top_right) + 1)
-    queue_v = queue_j[:]
-    for r in range(max(top_left, top_right) + 1):
-        if r < top_left:
-            a = left[r : r + 1 + (n_right if n_right < top_left - r else top_left - r)]
-        else:
-            a = left[top_left:]
-        if r < top_right:
-            b = right[r : r + 1 + (n_left if n_left < top_right - r else top_right - r)]
-        else:
-            b = right[top_right:]
-        last = len(b) - 1
-        low_j = b.count(infeasible)  # the first feasible j
-        best, best_i = infeasible, 0
-        if low_j <= last:
-            below = last + 1  # the first j with b[j] < i
-            entered = last + 1  # the smallest j the window has reached
-            head = tail = 0
-            for i in range(a.count(infeasible), len(a)):
-                ai = a[i]
-                while below and b[below - 1] < i:
-                    below -= 1
-                # j <= ai
-                j = ai if ai < last else last
-                if j >= low_j:
-                    value = ai + (b[j] if b[j] > i else i)
-                else:
-                    value = infeasible
-                # ai < j and b[j] < i
-                j = ai + 1 if ai >= below else below
-                if j <= last and j + i < value:
-                    value = j + i
-                # ai < j < below: the window
-                low = ai + 1 if ai >= low_j else low_j
-                while entered > low:
-                    entered -= 1
-                    if entered < below:
-                        v = entered + b[entered]
-                        while tail > head and queue_v[tail - 1] >= v:
-                            tail -= 1
-                        queue_j[tail] = entered
-                        queue_v[tail] = v
-                        tail += 1
-                while head < tail and queue_j[head] >= below:
-                    head += 1
-                if head < tail and queue_v[head] < value:
-                    value = queue_v[head]
-                if value < best:
-                    best, best_i = value, i
-        if best == infeasible:
-            row.append(infeasible)
-            chosen.append((0, 0))
-            continue
-        ai = a[best_i]
-        j = low_j
-        while (ai if ai > j else j) + (b[j] if b[j] > best_i else best_i) != best:
-            j += 1
+    for r in range(max(len(left), len(right))):
+        # past its row's end a side's slice is empty, and its last entry stands in
+        a = left[r : r + n_right + 1] or left[-1:]
+        b = right[r : r + n_left + 1] or right[-1:]
+        last, b_last = len(b) - 1, b[-1]
+        best = infeasible
+        first = last + 1  # the first j with b[j] <= i
+        for i in range(a.count(infeasible), len(a)):
+            while first and b[first - 1] <= i:
+                first -= 1
+            ai = a[i]
+            j = ai if ai > first else first
+            if j <= last:
+                value = i + j
+            else:
+                value = (ai if ai > last else last) + (b_last if b_last > i else i)
+            if value < best:
+                best = value
+        # i = I, where b[j] > I for every j before the first
+        ai = a[-1]
+        for j in range(first):
+            value = (ai if ai > j else j) + b[j]
+            if value < best:
+                best = value
         row.append(best)
-        chosen.append((best_i, j))
-    return row, chosen
+    return row
+
+
+def _join_pair(
+    left: list[int], right: list[int], n_left: int, n_right: int, r: int, size: int
+) -> tuple[int, int]:
+    """The first (i, j), i outside and j inside, with g(i, j) = ``size``, the entry at r.
+
+    That is the pair a scan of every pair meets first; g is as in :func:`_join_row`.
+    """
+    a = left[r : r + n_right + 1] or left[-1:]
+    b = right[r : r + n_left + 1] or right[-1:]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if (ai if ai > j else j) + (bj if bj > i else i) == size:
+                return i, j
 
 
 def _threshold_takes(

@@ -56,6 +56,8 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
 # one split over the whole text.  Other text goes line by line.
 _COMMENT_LINE = re.compile(rf"^[^\S\n]*c[^{_BREAKS}]*", re.M)
 _HEADER = re.compile(r"\s*p[ \t]+edge[ \t]+([0-9]{1,9})[ \t]+([0-9]{1,9})[ \t\r]*(?=\n|\Z)")
+# the vertex count of the first header at the start of a line, comments not yet removed
+_DECLARED = re.compile(r"^[ \t]*p[ \t]+edge[ \t]+([0-9]{1,9})", re.M)
 # a line of a file in bulk, tried in this order: the plain line with single
 # spaces up to its end, the plain line with any blanks and a CR ending, a
 # blank line; possessive, so a text that fails is never rescanned
@@ -81,7 +83,7 @@ def parse_graph(text: str) -> Graph:
     which costs less there than building the table.  Any other file, and
     an id the table lacks, goes to the line-by-line reader, which gives
     the same graph or the same error.  A header above ``MAX_VERTICES`` is
-    refused before the lines are matched or split.
+    refused before the comments are removed and the lines matched or split.
 
     Raises:
         MalformedError: missing or repeated header, an unreadable line, or
@@ -90,6 +92,9 @@ def parse_graph(text: str) -> Graph:
             number of e-lines.
         OutOfRangeError, SelfLoopError, DuplicateEdgeError: bad edges.
     """
+    declared = _DECLARED.search(text)
+    if declared and int(declared[1]) > MAX_VERTICES:
+        return _parse_graph_by_line(text)
     body = _without_comments(text)
     header = _HEADER.match(body)
     if header is None:

@@ -38,6 +38,16 @@ class TestBenchSuite:
         with pytest.raises(MalformedError, match="at least 1"):
             bench_suite(_config(family=family, sizes=(8, 0)))
 
+    @pytest.mark.parametrize("repetitions", [0, -3])
+    def test_repetitions_below_one_rejected(self, repetitions) -> None:
+        with pytest.raises(MalformedError, match="repetitions must be at least 1"):
+            bench_suite(_config(repetitions=repetitions))
+
+    @pytest.mark.parametrize("probability", [-0.1, 1.5, math.nan, math.inf])
+    def test_edge_probability_outside_unit_interval_rejected(self, probability) -> None:
+        with pytest.raises(MalformedError, match=r"edge probability must be in \[0, 1\]"):
+            bench_suite(_config(family="gnp", edge_probability=probability))
+
     def test_deterministic_apart_from_times(self) -> None:
         first = bench_suite(_config())
         second = bench_suite(_config())

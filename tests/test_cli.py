@@ -240,6 +240,14 @@ ARGUMENT_ERRORS = {
         f"bench {family} size 0": ["bench", "--family", family, "--sizes", "0", "--reps", "1"]
         for family in ("trees", "cographs", "threshold", "gnp")
     },
+    **{
+        f"bench reps {reps}": ["bench", "--family", "trees", "--sizes", "8", "--reps", reps]
+        for reps in ("0", "-3")
+    },
+    **{
+        f"bench p {p}": ["bench", "--family", "gnp", "--sizes", "8", "--reps", "1", "--p", p]
+        for p in ("1.5", "-0.5", "nan")
+    },
 }
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import combinations
-from typing import NamedTuple
+from itertools import combinations, combinations_with_replacement, product
+from typing import Iterator, NamedTuple
 from unittest import mock
 
 import pytest
@@ -485,6 +485,24 @@ def _random_row(rng: random.Random, side: int, top: int, infeasible: int) -> lis
     return [infeasible] * prefix + row[prefix:]
 
 
+def _check_join(left, right, n_left, n_right, infeasible) -> None:
+    """The join's row and, at every feasible discount, its pair, against the scan's."""
+    row, chosen = _scanned_join_row(left, right, n_left, n_right, infeasible)
+    case = (left, right, n_left, n_right, infeasible)
+    assert exact._join_row(left, right, n_left, n_right, infeasible) == row, case
+    for r, size in enumerate(row):
+        if size < infeasible:
+            assert exact._join_pair(left, right, n_left, n_right, r, size) == chosen[r], (case, r)
+
+
+def _tiny_rows(side: int, infeasible: int) -> Iterator[list[int]]:
+    """Every row of 1-4 entries: non-increasing sizes up to ``side``, infeasible on a proper prefix."""
+    for length in range(1, 5):
+        for prefix in range(length):
+            for rest in combinations_with_replacement(range(side, -1, -1), length - prefix):
+                yield [infeasible] * prefix + list(rest)
+
+
 def test_join_row_matches_scan_of_every_pair() -> None:
     rng = random.Random("join-row-vs-scan")
     for index in range(7000):
@@ -502,9 +520,14 @@ def test_join_row_matches_scan_of_every_pair() -> None:
             tops = [rng.randint(5, 50) for _ in range(2)]
         left = _random_row(rng, n_left, tops[0], infeasible)
         right = _random_row(rng, n_right, tops[1], infeasible)
-        expected = _scanned_join_row(left, right, n_left, n_right, infeasible)
-        assert exact._join_row(left, right, n_left, n_right, infeasible) == expected, (
-            left, right, n_left, n_right, infeasible)
+        _check_join(left, right, n_left, n_right, infeasible)
+    # every tiny join: sides of 1-3 vertices, rows of 1-4 entries
+    for n_left, n_right in product(range(1, 4), repeat=2):
+        infeasible = n_left + n_right + 1
+        rights = list(_tiny_rows(n_right, infeasible))
+        for left in _tiny_rows(n_left, infeasible):
+            for right in rights:
+                _check_join(left, right, n_left, n_right, infeasible)
 
 
 def _outcomes(inst: Instance) -> list:

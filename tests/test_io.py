@@ -79,16 +79,19 @@ class TestParseGraph:
     def test_over_limit_header_is_refused_before_the_body_is_split(self) -> None:
         rng = random.Random(1)
         edges = "".join(f"e {rng.randint(1, 99999)} {rng.randint(1, 99999)}\n" for _ in range(200_000))
-        text = f"p edge {MAX_VERTICES + 1} 200000\n" + edges
-        message = f"line 1: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}"
-        tracemalloc.start()
-        try:
-            with pytest.raises(MalformedError, match=f"^{message}$"):
-                parse_graph(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < len(text)
+        # with a comment on top too, which must not be stripped from a copy of the text first
+        for comments in (0, 1):
+            text = "c made by hand\n" * comments + f"p edge {MAX_VERTICES + 1} 200000\n" + edges
+            line = comments + 1
+            message = f"line {line}: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}"
+            tracemalloc.start()
+            try:
+                with pytest.raises(MalformedError, match=f"^{message}$"):
+                    parse_graph(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < len(text), comments
 
     def test_vertex_zero_rejected_in_one_based_format(self) -> None:
         with pytest.raises(OutOfRangeError):

@@ -39,10 +39,10 @@ from .test_approx import _check_partial_greedy, _check_total_greedy, _differenti
 from .test_decomposition import _check_shape, _recursive_cotree
 from .test_exact import (
     _assert_sweep_invariant,
+    _check_join,
     _checked_tree,
     _outcomes,
     _random_row,
-    _scanned_join_row,
     _unpruned_cograph,
 )
 from .test_io_differential import _density_cases_match_reference
@@ -69,8 +69,7 @@ def _join_rows_match_scan() -> None:
         infeasible = n_left + n_right + 1
         left = _random_row(rng, n_left, tops[0], infeasible)
         right = _random_row(rng, n_right, tops[1], infeasible)
-        expected = _scanned_join_row(left, right, n_left, n_right, infeasible)
-        assert exact._join_row(left, right, n_left, n_right, infeasible) == expected
+        _check_join(left, right, n_left, n_right, infeasible)
 
 
 def _cograph_dp_matches_unpruned() -> None:
@@ -152,14 +151,21 @@ MUTANTS = {
         exact, "_cograph", (("((k + 1, j), (ends[k + 1], i))", "((k + 1, i), (ends[k + 1], j))"),),
         _cograph_dp_matches_unpruned,
     ),
-    "the join window's upper end one higher": Mutant(
+    "the join's pointer stops at b[j] < i": Mutant(
+        exact, "_join_row", (("b[first - 1] <= i", "b[first - 1] < i"),), _join_rows_match_scan,
+    ),
+    "the join skips g(I, j) before the pointer": Mutant(
+        exact, "_join_row", (("for j in range(first):", "for j in range(0):"),),
+        _join_rows_match_scan,
+    ),
+    "the join drops g(i, J) past the pointer": Mutant(
         exact, "_join_row",
-        (("if entered < below:", "if entered <= below:"),
-         ("queue_j[head] >= below", "queue_j[head] > below")),
+        (("value = (ai if ai > last else last) + (b_last if b_last > i else i)",
+          "value = infeasible"),),
         _join_rows_match_scan,
     ),
     "the join takes the last minimising j": Mutant(
-        exact, "_join_row", (("j = low_j\n", "j = last\n"), ("j += 1", "j -= 1")),
+        exact, "_join_pair", (("for j, bj in enumerate(b)", "for j, bj in [*enumerate(b)][::-1]"),),
         _join_rows_match_scan,
     ),
     # the tree and threshold DPs
