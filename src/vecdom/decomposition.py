@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .errors import NotCographError, NotThresholdError
 from .graph import Graph
@@ -45,12 +45,27 @@ class Cotree(NamedTuple):
             c = ends[c]
 
 
-def _components_within(g: Graph, verts: list[int], complement: bool) -> list[list[int]]:
+# how much longer than the unseen set a row must be before a walk that may
+# rewrite its rows reads it as a set; below that the set is not worth making
+_SET_MARGIN = 16
+
+
+def _components_within(
+    rows: Sequence[Collection[int]], verts: list[int], complement: bool
+) -> list[list[int]]:
     """Components of the subgraph induced by ascending ``verts``, or of its complement.
 
-    Each is sorted, and they come in order of smallest vertex.
+    ``rows[v]`` holds v's neighbours.  Each component is sorted, and they
+    come in order of smallest vertex.  Where ``rows`` is a list the walk
+    may rewrite it: a row longer than the unseen set by more than
+    ``_SET_MARGIN`` is replaced by its set, so that reading it costs the
+    unseen set and not the row.  The unseen set is then also copied afresh
+    whenever it has shrunk fourfold, since a walk over a set costs its
+    table, which never shrinks.
     """
+    rewrite = type(rows) is list
     unseen = set(verts)
+    room = len(unseen)  # the unseen set's size when its table was made
     comps: list[list[int]] = []
     for start in verts:
         if start not in unseen:
@@ -59,12 +74,18 @@ def _components_within(g: Graph, verts: list[int], complement: bool) -> list[lis
         comp = [start]
         stack = [start]
         while stack and unseen:
-            nbrs = g.neighbors(stack.pop())
+            v = stack.pop()
+            nbrs = rows[v]
+            if rewrite and len(nbrs) > len(unseen) + _SET_MARGIN and type(nbrs) is tuple:
+                nbrs = rows[v] = set(nbrs)
             nxt = unseen.difference(nbrs) if complement else unseen.intersection(nbrs)
             if nxt:
                 unseen -= nxt
                 comp.extend(nxt)
                 stack.extend(nxt)
+                if rewrite and 4 * len(unseen) < room:
+                    unseen = set(unseen)
+                    room = len(unseen)
         comp.sort()
         comps.append(comp)
     return comps
@@ -120,6 +141,9 @@ def build_modified_cotree(g: Graph) -> Cotree:
 
     Each node takes one split, written as it is made: a walk over its
     induced subgraph or over its complement; only the root may need both.
+    Below the root a walk reads a long row as a set, made once per build,
+    so a deep cotree's splits cost the sets they split; the root reads
+    rows only, so a failing build makes no set.
     A union's parts are connected and a join's parts co-connected, so
     neither is checked again.  A connected vertex set whose complement
     splits is a complete bipartite join, in which some vertex sees half
@@ -134,14 +158,17 @@ def build_modified_cotree(g: Graph) -> Cotree:
     if g.n == 0:
         raise NotCographError("cannot decompose the empty graph")
     most = g.max_degree()
+    # the rows below the root, where a long one becomes a set; none can when none is long
+    below = list(g._adj) if most > _SET_MARGIN else g._adj
 
     def split(verts: list[int], made_by: str) -> tuple[str, list[list[int]]]:
         # a part of a union is connected, a part of a join co-connected
-        parts = [] if made_by == "union" else _components_within(g, verts, False)
+        rows = below if made_by else g._adj
+        parts = [] if made_by == "union" else _components_within(rows, verts, False)
         if len(parts) > 1:
             return "union", parts
         if made_by != "join" and 2 * most >= len(verts):
-            parts = _components_within(g, verts, True)
+            parts = _components_within(rows, verts, True)
             if len(parts) > 1:
                 return "join", parts
         raise NotCographError(f"vertices {tuple(verts)} induce a connected, co-connected subgraph")

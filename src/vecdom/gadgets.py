@@ -32,7 +32,7 @@ from .errors import (
 )
 from .exact import DEFAULT_ORACLE_CAP, brute_force_minimum
 from .feasibility import Solution, is_feasible
-from .graph import Graph, build_graph, complete_graph, disjoint_union, join
+from .graph import Graph, build_graph
 from .io import MAX_VERTICES
 from .variants import Neighborhood, compile_variant, demand_bound, named_variant
 
@@ -170,29 +170,53 @@ def _attach(
     return edges
 
 
+def _assemble(
+    construction: str,
+    g: Graph,
+    copies: int,
+    blocks: int,
+    block_size: int,
+    clique: bool,
+    demands: tuple[int, ...],
+    claim: SandwichClaim,
+) -> GadgetOutput:
+    """Copies of g glued round-robin onto one attachment block: every construction's layout.
+
+    Copy j takes ids ``j*n .. j*n + n-1`` and the block of ``blocks *
+    block_size`` vertices follows the copies, a clique when ``clique`` is
+    set and edgeless otherwise.  The block is cut into ``blocks`` runs of
+    ``block_size``, and run b serves the b-th of ``blocks`` equal shares of
+    the copies.
+    """
+    n, size = g.n, blocks * block_size
+    clique_edges = size * (size - 1) // 2 if clique else 0
+    _require_buildable(g, copies, size, clique_edges + copies * sum(demands))
+    offsets = [j * n for j in range(copies)]
+    start = copies * n
+    edges = [(off + u, off + v) for off in offsets for u, v in g.edges()]
+    if clique:
+        edges += combinations(range(start, start + size), 2)
+    for b in range(blocks):
+        served = offsets[b * copies // blocks : (b + 1) * copies // blocks]
+        edges += _attach(demands, served, start + b * block_size, block_size)
+    return GadgetOutput(
+        construction=construction,
+        base=g,
+        gprime=build_graph(start + size, edges),
+        embeddings=tuple(tuple(range(off, off + n)) for off in offsets),
+        attachment_demands=demands,
+        attachment_vertices=tuple(range(start, start + size)),
+        claim=claim,
+    )
+
+
 def gadget_replicate(g: Graph, copies: int) -> GadgetOutput:
     """Disjoint copies of the graph; the optimum scales by the copy count."""
     _require_positive(copies=copies)
-    _require_buildable(g, copies, 0, 0)
-    gprime, maps = disjoint_union([g] * copies)
-    embeddings = tuple(tuple(mp[v] for v in range(g.n)) for mp in maps)
     claim = SandwichClaim(
-        base_variant="domination",
-        middle_variant="domination",
-        alpha=None,
-        k=None,
-        lower=(copies, 0),
-        upper=(copies, 0),
+        "domination", "domination", alpha=None, k=None, lower=(copies, 0), upper=(copies, 0)
     )
-    return GadgetOutput(
-        construction="replicate",
-        base=g,
-        gprime=gprime,
-        embeddings=embeddings,
-        attachment_demands=(0,) * g.n,
-        attachment_vertices=(),
-        claim=claim,
-    )
+    return _assemble("replicate", g, copies, 0, 0, False, (0,) * g.n, claim)
 
 
 def gadget_alpha_domination(
@@ -211,27 +235,10 @@ def gadget_alpha_domination(
     mult = multiplier if multiplier is not None else _default_factor(a)
     pool_size = mult * g.max_degree()
     demands = _attachment_demands(g, a, Neighborhood.OPEN)
-    _require_buildable(g, 1, pool_size, sum(demands))
-    n = g.n
-    edges = list(g.edges()) + _attach(demands, (0,), n, pool_size)
-    gprime = build_graph(n + pool_size, edges)
     claim = SandwichClaim(
-        base_variant="domination",
-        middle_variant="alpha-domination",
-        alpha=a,
-        k=None,
-        lower=(1, 0),
-        upper=(1, pool_size),
+        "domination", "alpha-domination", alpha=a, k=None, lower=(1, 0), upper=(1, pool_size)
     )
-    return GadgetOutput(
-        construction="alpha-domination",
-        base=g,
-        gprime=gprime,
-        embeddings=(tuple(range(n)),),
-        attachment_demands=demands,
-        attachment_vertices=tuple(range(n, n + pool_size)),
-        claim=claim,
-    )
+    return _assemble("alpha-domination", g, 1, 1, pool_size, False, demands, claim)
 
 
 # construction -> (neighbourhoods, base variant, middle variant); the clique
@@ -250,18 +257,15 @@ def _copies_plus_clique(
     copies_per_block: int,
     block_factor: int | None,
 ) -> GadgetOutput:
-    """Shared body: many copies of g wired into a blocked clique.
+    """Shared body: ``blocks`` runs of a clique, each serving ``copies_per_block`` copies of g.
 
-    Block ``b`` of the clique serves the ``copies_per_block`` copies with
-    index ``j // copies_per_block == b``; attachment edges rotate through
-    the block so no clique vertex is overloaded.
+    The gate checks the clique can absorb its copies, and the claim brackets
+    the middle optimum by the copies' base optima plus the clique.
     """
     nbhd, base_variant, middle_variant = _CLIQUE_GADGETS[construction]
     a = _validated_alpha(alpha)
     _reject_isolated(g)
-    _require_positive(
-        blocks=blocks, copies_per_block=copies_per_block, block_factor=block_factor
-    )
+    _require_positive(blocks=blocks, copies_per_block=copies_per_block, block_factor=block_factor)
     bf = block_factor if block_factor is not None else _default_factor(a)
     gate = 2 if nbhd is Neighborhood.OPEN else 1
     need = gate * a * copies_per_block / ((1 - a) * bf)
@@ -272,36 +276,10 @@ def _copies_plus_clique(
             f"the clique cannot absorb its copies: need blocks >= {need}, got {blocks}"
         )
     demands = _attachment_demands(g, a, nbhd)
-    block_size = bf * copies_per_block
-    copies, clique = blocks * copies_per_block, block_size * blocks
-    _require_buildable(g, copies, clique, clique * (clique - 1) // 2 + copies * sum(demands))
-    n = g.n
-    offsets = [j * n for j in range(copies)]
-    clique_start = copies * n
-    clique_end = clique_start + clique
-    edges = [(off + u, off + v) for off in offsets for u, v in g.edges()]
-    edges += combinations(range(clique_start, clique_end), 2)
-    for b in range(blocks):
-        served = offsets[b * copies_per_block : (b + 1) * copies_per_block]
-        edges += _attach(demands, served, clique_start + b * block_size, block_size)
-    gprime = build_graph(clique_end, edges)
-    claim = SandwichClaim(
-        base_variant=base_variant,
-        middle_variant=middle_variant,
-        alpha=a,
-        k=None,
-        lower=(len(offsets), 0),
-        upper=(len(offsets), clique_end - clique_start),
-    )
-    return GadgetOutput(
-        construction=construction,
-        base=g,
-        gprime=gprime,
-        embeddings=tuple(tuple(range(off, off + n)) for off in offsets),
-        attachment_demands=demands,
-        attachment_vertices=tuple(range(clique_start, clique_end)),
-        claim=claim,
-    )
+    copies, block_size = blocks * copies_per_block, bf * copies_per_block
+    lower, upper = (copies, 0), (copies, blocks * block_size)
+    claim = SandwichClaim(base_variant, middle_variant, alpha=a, k=None, lower=lower, upper=upper)
+    return _assemble(construction, g, copies, blocks, block_size, True, demands, claim)
 
 
 def gadget_total_alpha(
@@ -349,25 +327,10 @@ def gadget_k_domination(g: Graph, k: int) -> GadgetOutput:
     result.  Upper bound only: middle <= base + k - 1.
     """
     _require_positive(k=k)
-    _require_buildable(g, 1, k - 1, (k - 1) * (k - 2) // 2 + g.n * (k - 1))
-    gprime = join(g, complete_graph(k - 1))
     claim = SandwichClaim(
-        base_variant="domination",
-        middle_variant="k-domination",
-        alpha=None,
-        k=k,
-        lower=None,
-        upper=(1, k - 1),
+        "domination", "k-domination", alpha=None, k=k, lower=None, upper=(1, k - 1)
     )
-    return GadgetOutput(
-        construction="k-domination",
-        base=g,
-        gprime=gprime,
-        embeddings=(tuple(range(g.n)),),
-        attachment_demands=(k - 1,) * g.n,
-        attachment_vertices=tuple(range(g.n, g.n + k - 1)),
-        claim=claim,
-    )
+    return _assemble("k-domination", g, 1, 1, k - 1, True, (k - 1,) * g.n, claim)
 
 
 def _base_optimum(out: GadgetOutput, cap: int) -> Solution:
@@ -386,7 +349,10 @@ def upper_witness(out: GadgetOutput, cap: int = DEFAULT_ORACLE_CAP) -> frozenset
     """The feasible set each construction's upper bound is built from.
 
     Always the attachment vertices plus an optimal base solution embedded
-    into every copy.
+    into every copy.  It stays a function of its own: a
+    :class:`SandwichReport` carries only the witness's size, and
+    :func:`verify_sandwich` embeds the base optimum it already holds, since
+    calling this would solve the base twice.
     """
     return _embedded(out, _base_optimum(out, cap).vertices)
 

@@ -105,7 +105,7 @@ def _graph_from_ends(n: int, tails: list[int], heads: list[int]) -> Graph:
     # rescanned in order for the first error
     if tails and min(min(tails), min(heads)) < 0:
         _raise_first_error(n, tails, heads)
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj: list = [[] for _ in range(n)]
     try:
         for u, v in zip(tails, heads):
             adj[u].append(v)
@@ -114,9 +114,12 @@ def _graph_from_ends(n: int, tails: list[int], heads: list[int]) -> Graph:
         _raise_first_error(n, tails, heads)
     if sum(map(len, map(set, adj))) != 2 * len(tails):
         _raise_first_error(n, tails, heads)
-    for row in adj:
+    # each list is freed as its tuple replaces it, so n lists and n tuples
+    # are never held at once
+    for v, row in enumerate(adj):
         row.sort()
-    return Graph(tuple(map(tuple, adj)), len(tails))
+        adj[v] = tuple(row)
+    return Graph(tuple(adj), len(tails))
 
 
 def _raise_first_error(n: int, tails: list[int], heads: list[int]) -> None:

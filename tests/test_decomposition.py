@@ -10,8 +10,10 @@ read off a threshold ordering is compared with the general cotree build.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
+import time
 import tracemalloc
 from itertools import combinations
 from typing import NamedTuple
@@ -571,3 +573,22 @@ def test_cotree_certificates_are_linear_in_size() -> None:
     ordering = threshold_elimination_order(_relabelled_random_threshold(4000, random.Random(4000)))
     assert _retained(threshold_cotree, ordering) < 2_000_000
     assert _retained(build_modified_cotree, caterpillar_2k2(250)) < 500_000
+
+
+# sha256 of repr(tuple(...)) of the 2K2 caterpillar's cotree at 1,000 vertices,
+# as the build gave it when every split read whole rows
+DEEP_COTREE_DIGEST = "5ff48c63154e0168d0d91526b7f51bcad485cb21e69cff3de579e79e79ec1a85"
+
+
+def test_deep_cotree_splits_cost_the_sets_they_split() -> None:
+    # about 1,000 levels, most rows far longer than the sets split below them;
+    # on a shared 2-core machine a build reading whole rows took 0.85-1.6 s,
+    # one reading sets 0.08-0.25 s
+    g = caterpillar_2k2(250)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        tree = build_modified_cotree(g)
+        times.append(time.perf_counter() - start)
+    assert hashlib.sha256(repr(tuple(tree)).encode()).hexdigest() == DEEP_COTREE_DIGEST
+    assert min(times) < 0.6

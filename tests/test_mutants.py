@@ -29,7 +29,7 @@ from vecdom import (
     solve_threshold_vector,
     solve_tree_vector,
 )
-from vecdom import approx, decomposition, exact, feasibility
+from vecdom import approx, decomposition, exact, feasibility, gadgets
 from vecdom import io as vio
 from vecdom.errors import VecdomError
 from vecdom.generators import prufer_to_tree, random_cograph, random_threshold
@@ -45,6 +45,7 @@ from .test_exact import (
     _random_row,
     _unpruned_cograph,
 )
+from .test_gadgets import _gadget_calls
 from .test_io_differential import _density_cases_match_reference
 
 
@@ -118,6 +119,31 @@ def _cotrees_match_reference() -> None:
         assert tree == _recursive_cotree(g)
 
 
+def _deep_cotrees_match_reference() -> None:
+    # rows far longer than the sets split deep in the tree: the splits read sets
+    rng = random.Random("mutants-deep-cotree")
+    for blocks in range(6, 21):
+        g = relabelled(caterpillar_2k2(blocks), rng)
+        assert decomposition.build_modified_cotree(g) == _recursive_cotree(g), blocks
+
+
+def _gadgets_glue_each_copy_once() -> None:
+    for label, build, args in _gadget_calls():
+        try:
+            out = build(*args)
+        except VecdomError:
+            continue
+        g, gprime, block = out.base, out.gprime, set(out.attachment_vertices)
+        for emb in out.embeddings:
+            for v in g.vertices():
+                row = set(gprime.neighbors(emb[v]))
+                assert row - block == {emb[u] for u in g.neighbors(v)}, label
+                assert len(row & block) == out.attachment_demands[v], label
+        if out.construction in ("total-alpha", "alpha-rate", "k-domination"):
+            for x in block:
+                assert block - {x} <= set(gprime.neighbors(x)), label
+
+
 def _dense_files_match_reference() -> None:
     _density_cases_match_reference(dense=True)
 
@@ -188,6 +214,22 @@ MUTANTS = {
     "a join chain is peeled from its last part": Mutant(
         decomposition, "build_modified_cotree",
         (('return "join", parts', 'return "join", parts[::-1]'),), _cotrees_match_reference,
+    ),
+    "a long row's set is made from the row before it": Mutant(
+        decomposition, "_components_within",
+        (("nbrs = rows[v] = set(nbrs)", "nbrs = rows[v] = set(rows[v - 1])"),),
+        _deep_cotrees_match_reference,
+    ),
+    # the gadgets' one layout
+    "every block run serves all the copies": Mutant(
+        gadgets, "_assemble",
+        (("offsets[b * copies // blocks : (b + 1) * copies // blocks]", "offsets"),),
+        _gadgets_glue_each_copy_once,
+    ),
+    "the block loses its clique edges": Mutant(
+        gadgets, "_assemble",
+        (("edges += combinations(range(start, start + size), 2)", "edges += ()"),),
+        _gadgets_glue_each_copy_once,
     ),
     # the dense files' name table
     "the name table is shifted by one": Mutant(
