@@ -29,24 +29,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    CertificationError,
-    DuplicateVertexError,
-    InfeasibleError,
-    MissingParamError,
-    OutOfRangeError,
-    WrongVariantError,
-)
+from .errors import CertificationError, InfeasibleError, WrongVariantError
 from .feasibility import CoverageState, Solution, coverage_target
 from .variants import Instance, Neighborhood, Scope
 
 __all__ = [
     "GREEDY_METHODS",
-    "MulticoverInstance",
-    "greedy_multicover",
     "greedy_solution",
     "greedy_total_vector",
     "greedy_multiple_domination",
@@ -95,54 +85,18 @@ def _lazy_picks(
             heapq.heappush(buckets[fresh], i)
 
 
-@dataclass(frozen=True)
-class MulticoverInstance:
-    """Cover each element u of 0..universe_size-1 by requirement[u] distinct sets."""
-
-    universe_size: int
-    family: tuple[tuple[int, ...], ...]
-    requirements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.requirements) != self.universe_size:
-            raise MissingParamError(
-                f"expected {self.universe_size} requirements, "
-                f"got {len(self.requirements)}"
-            )
-        for i, s in enumerate(self.family):
-            if s and (min(s) < 0 or max(s) >= self.universe_size):
-                raise OutOfRangeError(f"set {i} leaves the range 0..{self.universe_size - 1}")
-            if len(set(s)) != len(s):
-                raise DuplicateVertexError(f"set {i} lists an element twice")
-
-
-def greedy_multicover(mc: MulticoverInstance) -> tuple[int, ...]:
+def _multicover(family: Sequence[Sequence[int]], requirements: Sequence[int]) -> tuple[int, ...]:
     """Indices of the chosen sets, in selection order.
 
     Each round selects the set covering the most elements with unmet
-    requirement, ties broken by smallest index.  A set counts at most once
-    per element, as multicover demands distinct sets.
+    requirement, ties broken by smallest index.  The sets are graph
+    neighbourhoods, open or closed, so ``family[u]`` also lists the sets
+    holding u, and :func:`~vecdom.variants.reduce_forced` has refused any
+    element required more often than it is held.
 
     Raises:
-        InfeasibleError: some element appears in fewer sets than required,
-            or no set still covers an element with unmet requirement.
+        InfeasibleError: no set still covers an unmet requirement.
     """
-    holders: list[list[int]] = [[] for _ in range(mc.universe_size)]
-    for i, s in enumerate(mc.family):
-        for u in s:
-            holders[u].append(i)
-    return _multicover(mc.family, holders, mc.requirements)
-
-
-def _multicover(
-    family: Sequence[Sequence[int]],
-    holders: Sequence[Sequence[int]],
-    requirements: Sequence[int],
-) -> tuple[int, ...]:
-    """:func:`greedy_multicover` on a well-formed family; ``holders[u]`` lists u's sets."""
-    for u, (req, have) in enumerate(zip(requirements, map(len, holders))):
-        if req > have:
-            raise InfeasibleError(f"element {u} needs {req} sets but appears in only {have}")
     remaining = list(requirements)
     outstanding = sum(remaining)
     if outstanding == 0:
@@ -159,7 +113,7 @@ def _multicover(
                 remaining[u] = left - 1
                 outstanding -= 1
                 if left == 1:
-                    for i in holders[u]:
+                    for i in family[u]:
                         live[i] -= 1
         if outstanding == 0:
             return tuple(picks)
@@ -231,9 +185,7 @@ def greedy_solution(inst: Instance, forced: Sequence[int]) -> Solution:
         if inst.neighborhood is Neighborhood.CLOSED:
             family = [row + (v,) for v, row in enumerate(family)]
             largest += 1
-        # Graph rows are in range and duplicate-free: nothing to validate.
-        # Neighbourhoods are symmetric: the sets holding u are N(u), or N[u]
-        picks = _multicover(family, family, inst.demands)
+        picks = _multicover(family, inst.demands)
         bound = _harmonic_style_bound(largest)
         return Solution(frozenset(picks), "feasible", "approx", method, bound)
     state = CoverageState(inst)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .approx import GREEDY_METHODS, greedy_solution
 from .decomposition import (
@@ -50,10 +50,10 @@ DEFAULT_ORACLE_CAP = 20
 
 METHODS = ("auto", "greedy", "oracle", "tree", "cograph", "threshold", "complete")
 
-# auto attempts class recognition only below this size: the threshold
-# ordering and its caterpillar cotree are cheap, but the general cotree
-# build, which every non-threshold graph meets, grows about as m^1.5 on a
-# deep cotree (see ROADMAP item 2)
+# auto attempts class recognition only up to this size. What it bounds is
+# the cograph DP's table, of order n^2 entries with demands up to the degree
+# (7.5M and 10 s on random_cograph(4000)); ROADMAP item 4 prices the
+# certificate instead
 _RECOGNITION_CAP = 4096
 
 
@@ -100,11 +100,7 @@ def _oracle(inst: Instance, *_: object) -> Iterable[int]:
             smallest += 1
     check = [(v, demands[v], masks[v]) for v in checklist]
     for size in range(smallest, n + 1):
-        if n <= _CACHED_MASKS:
-            subsets: Iterable[int] = _subset_masks(n, size)
-        else:
-            subsets = map(_mask_of, combinations(range(n), size))
-        for mask in subsets:
+        for mask in _subset_masks(n, size) if n <= _CACHED_MASKS else _masks(n, size):
             for v, need, nbrs in check:
                 if not total and (mask >> v) & 1:
                     continue
@@ -115,11 +111,9 @@ def _oracle(inst: Instance, *_: object) -> Iterable[int]:
     raise InfeasibleError("no vertex subset satisfies the instance")
 
 
-def _mask_of(combo: tuple[int, ...]) -> int:
-    mask = 0
-    for v in combo:
-        mask |= 1 << v
-    return mask
+def _masks(n: int, size: int) -> Iterator[int]:
+    """The masks of the ``size``-subsets of ``range(n)``, in lexicographic order."""
+    return map(sum, combinations([1 << v for v in range(n)], size))
 
 
 # the oracle's subset masks are kept for graphs up to this size: 2^n masks each
@@ -128,8 +122,7 @@ _CACHED_MASKS = 12
 
 @cache
 def _subset_masks(n: int, size: int) -> tuple[int, ...]:
-    """The masks of the ``size``-subsets of ``range(n)``, in lexicographic order."""
-    return tuple(map(_mask_of, combinations(range(n), size)))
+    return tuple(_masks(n, size))
 
 
 def solve_complete_vector(g: Graph, demands: Sequence[int]) -> Solution:

@@ -45,6 +45,7 @@ __all__ = [
     "gadget_total_alpha",
     "gadget_alpha_rate",
     "gadget_k_domination",
+    "upper_witness",
     "verify_sandwich",
 ]
 

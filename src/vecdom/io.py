@@ -1,7 +1,8 @@
 """Text formats: DIMACS-style graphs, demand lists, vertex sets.
 
-External ids are 1-based; everything internal is 0-based.  The translation
-happens here and nowhere else.  Writers emit the canonical form their
+External ids are 1-based; everything internal is 0-based.  Files are
+translated here; the records of ``cli._cmd_solve`` and ``cli._cmd_verify``
+add 1 to their vertex ids themselves.  Writers emit the canonical form their
 parser accepts, so write(parse(x)) canonicalizes and parse(write(g)) == g.
 """
 

@@ -151,11 +151,7 @@ def compile_variant(g: Graph, spec: VariantSpec) -> Instance:
     if isinstance(t, UniformThreshold):
         demands = (t.k,) * g.n
     elif isinstance(t, ExplicitThreshold):
-        if len(t.demands) != g.n:
-            raise MissingParamError(
-                f"expected {g.n} demands, got {len(t.demands)}"
-            )
-        demands = t.demands
+        demands = t.demands  # Instance checks the length
     else:
         # the smallest integer >= alpha*count (weak) or > alpha*count (strict),
         # (p*count + q - 1) // q or (p*count + q) // q, once per distinct degree
@@ -167,26 +163,35 @@ def compile_variant(g: Graph, spec: VariantSpec) -> Instance:
     return Instance(g, spec.neighborhood, spec.scope, demands)
 
 
-_CATALOGUE: dict[str, tuple[Neighborhood, Scope, Inequality, str]] = {
-    # name -> (neighbourhood, scope, inequality, threshold parameter kind)
+_HALF = FractionThreshold(Fraction(1, 2))
+
+_CATALOGUE: dict[str, tuple[Neighborhood, Scope, Inequality, Threshold | str]] = {
+    # name -> (neighbourhood, scope, inequality, threshold or the parameter setting it)
     "alpha-domination": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.WEAK, "alpha"),
     "alpha-rate-domination": (Neighborhood.CLOSED, Scope.TOTAL, Inequality.WEAK, "alpha"),
-    "domination": (Neighborhood.CLOSED, Scope.TOTAL, Inequality.WEAK, "one"),
+    "domination": (Neighborhood.CLOSED, Scope.TOTAL, Inequality.WEAK, UniformThreshold(1)),
     "k-domination": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.WEAK, "k"),
     "k-tuple-domination": (Neighborhood.CLOSED, Scope.TOTAL, Inequality.WEAK, "k"),
     "k-tuple-total-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.WEAK, "k"),
-    "monopoly": (Neighborhood.CLOSED, Scope.TOTAL, Inequality.WEAK, "half"),
-    "multiple-domination": (Neighborhood.CLOSED, Scope.TOTAL, Inequality.WEAK, "vector"),
-    "partial-monopoly": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.STRICT, "half"),
-    "positive-influence-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.WEAK, "half"),
+    "monopoly": (Neighborhood.CLOSED, Scope.TOTAL, Inequality.WEAK, _HALF),
+    "multiple-domination": (Neighborhood.CLOSED, Scope.TOTAL, Inequality.WEAK, "demands"),
+    "partial-monopoly": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.STRICT, _HALF),
+    "positive-influence-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.WEAK, _HALF),
     "strict-alpha-domination": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.STRICT, "alpha"),
     "strict-total-alpha-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.STRICT, "alpha"),
     "total-alpha-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.WEAK, "alpha"),
-    "total-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.WEAK, "one"),
-    "total-vector-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.WEAK, "vector"),
-    "vector-domination": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.WEAK, "vector"),
+    "total-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.WEAK, UniformThreshold(1)),
+    "total-vector-domination": (Neighborhood.OPEN, Scope.TOTAL, Inequality.WEAK, "demands"),
+    "vector-domination": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.WEAK, "demands"),
     # demand equals the full degree; weak open fraction 1 compiles to exactly that
-    "vertex-cover": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.WEAK, "full"),
+    "vertex-cover": (Neighborhood.OPEN, Scope.PARTIAL, Inequality.WEAK, FractionThreshold(1)),
+}
+
+# parameter -> (what a variant missing it needs, the threshold it sets)
+_PARAMETERS = {
+    "alpha": ("a fraction alpha", FractionThreshold),
+    "k": ("an integer k", UniformThreshold),
+    "demands": ("per-vertex demands", ExplicitThreshold),
 }
 
 _ALIASES = {
@@ -223,26 +228,13 @@ def named_variant(
     key = _ALIASES.get(key, key)
     if key not in _CATALOGUE:
         raise UnknownVariantError(f"unknown variant {name!r}")
-    neighborhood, scope, inequality, param = _CATALOGUE[key]
-    threshold: Threshold
-    if param == "alpha":
-        if alpha is None:
-            raise MissingParamError(f"variant {key!r} needs a fraction alpha")
-        threshold = FractionThreshold(Fraction(alpha))
-    elif param == "half":
-        threshold = FractionThreshold(Fraction(1, 2))
-    elif param == "full":
-        threshold = FractionThreshold(Fraction(1))
-    elif param == "one":
-        threshold = UniformThreshold(1)
-    elif param == "k":
-        if k is None:
-            raise MissingParamError(f"variant {key!r} needs an integer k")
-        threshold = UniformThreshold(k)
-    else:
-        if demands is None:
-            raise MissingParamError(f"variant {key!r} needs per-vertex demands")
-        threshold = ExplicitThreshold(tuple(demands))
+    neighborhood, scope, inequality, threshold = _CATALOGUE[key]
+    if isinstance(threshold, str):
+        value = {"alpha": alpha, "k": k, "demands": demands}[threshold]
+        needs, make = _PARAMETERS[threshold]
+        if value is None:
+            raise MissingParamError(f"variant {key!r} needs {needs}")
+        threshold = make(value)
     return VariantSpec(neighborhood, scope, inequality, threshold)
 
 

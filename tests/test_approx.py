@@ -16,7 +16,6 @@ from vecdom import (
     CoverageState,
     Graph,
     Instance,
-    MulticoverInstance,
     Neighborhood,
     Scope,
     brute_force_minimum,
@@ -25,7 +24,6 @@ from vecdom import (
     coverage_value,
     cycle_graph,
     disjoint_union,
-    greedy_multicover,
     greedy_multiple_domination,
     greedy_total_vector,
     greedy_vector_domination,
@@ -33,15 +31,7 @@ from vecdom import (
     star_graph,
 )
 from vecdom import approx, feasibility
-from vecdom.errors import (
-    CertificationError,
-    DuplicateVertexError,
-    InfeasibleError,
-    MissingParamError,
-    OutOfRangeError,
-    VecdomError,
-    WrongVariantError,
-)
+from vecdom.errors import CertificationError, InfeasibleError, WrongVariantError
 from vecdom.generators import random_gnp
 
 from .strategies import PROPERTY_SETTINGS, instances
@@ -59,34 +49,6 @@ def _total_closed(g, demands) -> Instance:
 
 def _partial_open(g, demands) -> Instance:
     return Instance(graph=g, neighborhood=Neighborhood.OPEN, scope=Scope.PARTIAL, demands=demands)
-
-
-class TestGreedyMulticover:
-    def test_cycle_open_neighborhoods(self) -> None:
-        g = cycle_graph(4)
-        mc = MulticoverInstance(
-            universe_size=4,
-            family=tuple(g.neighbors(v) for v in range(4)),
-            requirements=UNIT,
-        )
-        assert len(greedy_multicover(mc)) == 2
-
-    def test_zero_requirements(self) -> None:
-        mc = MulticoverInstance(universe_size=3, family=((0,), (1,), (2,)), requirements=(0, 0, 0))
-        assert greedy_multicover(mc) == ()
-
-    def test_doubled_requirement_needs_both_sets(self) -> None:
-        mc = MulticoverInstance(universe_size=2, family=((0, 1), (0, 1)), requirements=(2, 2))
-        assert greedy_multicover(mc) == (0, 1)
-
-    def test_infeasible_requirement(self) -> None:
-        mc = MulticoverInstance(universe_size=1, family=((0,),), requirements=(2,))
-        with pytest.raises(InfeasibleError):
-            greedy_multicover(mc)
-
-    def test_smallest_index_tie_break(self) -> None:
-        mc = MulticoverInstance(universe_size=2, family=((0, 1), (0, 1)), requirements=(1, 1))
-        assert greedy_multicover(mc) == (0,)
 
 
 class TestGreedyTotalVector:
@@ -291,7 +253,7 @@ def _differential_demands(g: Graph, rng: random.Random) -> tuple[int, ...]:
 
 
 def _check_total_greedy(g: Graph, demands: tuple[int, ...], closed: bool, case: object) -> None:
-    """A multicover greedy, by family and by instance, against the eager reference."""
+    """The multicover engine and its greedy against the eager reference."""
     if closed:
         family = tuple(tuple(sorted(g.neighbors(v) + (v,))) for v in range(g.n))
         inst, greedy = _total_closed(g, demands), greedy_multiple_domination
@@ -300,15 +262,14 @@ def _check_total_greedy(g: Graph, demands: tuple[int, ...], closed: bool, case: 
         family = g._adj
         inst, greedy = _total_open(g, demands), greedy_total_vector
         bound = _log_bound(g.max_degree())
-    mc = MulticoverInstance(g.n, family, demands)
     expected = _eager_multicover(family, demands)
     if expected is None:
         with pytest.raises(InfeasibleError):
-            greedy_multicover(mc)
+            approx._multicover(family, demands)
         with pytest.raises(InfeasibleError):
             greedy(inst)
         return
-    assert greedy_multicover(mc) == expected, case
+    assert approx._multicover(family, demands) == expected, case
     sol = greedy(inst)
     assert sol.vertices == frozenset(expected), case
     assert sol.bound == bound
@@ -360,24 +321,6 @@ def test_lazy_greedies_match_eager_reference_on_random_graphs() -> None:
 # Explicit checks that hold under ``python -O`` too.
 
 
-def test_multicover_length_mismatch_rejected() -> None:
-    with pytest.raises(MissingParamError):
-        MulticoverInstance(universe_size=2, family=((0, 1),), requirements=(1,))
-
-
-def test_multicover_set_repeating_an_element_rejected() -> None:
-    # a repeated element would count twice towards one requirement
-    with pytest.raises(DuplicateVertexError):
-        MulticoverInstance(1, ((0, 0),), (2,))
-
-
-def test_multicover_element_out_of_range_rejected() -> None:
-    for family in (((0, 5),), ((-1, 0),)):
-        with pytest.raises(OutOfRangeError) as caught:
-            MulticoverInstance(1, family, (1,))
-        assert isinstance(caught.value, VecdomError)
-
-
 def test_stalled_potential_raises_instead_of_index_error(monkeypatch) -> None:
     class NoGain(CoverageState):
         def gain(self, w: int) -> int:
@@ -403,9 +346,8 @@ def test_failed_certification_raises(monkeypatch) -> None:
 
 _OPTIMIZED_SCRIPT = """
 import sys
-from vecdom import (Instance, MulticoverInstance, Neighborhood, Scope, cycle_graph,
+from vecdom import (Instance, Neighborhood, Scope, cycle_graph,
                     greedy_multiple_domination, greedy_total_vector, greedy_vector_domination)
-from vecdom.errors import VecdomError
 assert sys.flags.optimize >= 1 and not __debug__
 g = cycle_graph(7)
 k = (1, 2, 1, 0, 2, 1, 1)
@@ -415,10 +357,6 @@ for greedy, nbhd, scope in (
     (greedy_vector_domination, Neighborhood.OPEN, Scope.PARTIAL),
 ):
     print(sorted(greedy(Instance(g, nbhd, scope, k)).vertices))
-try:
-    MulticoverInstance(2, ((0, 1),), (1,))
-except VecdomError as exc:
-    print(type(exc).__name__)
 """
 
 
@@ -438,6 +376,5 @@ def test_greedies_unchanged_under_optimize_flag() -> None:
         str(sorted(greedy_total_vector(_total_open(g, k)).vertices)),
         str(sorted(greedy_multiple_domination(_total_closed(g, k)).vertices)),
         str(sorted(greedy_vector_domination(_partial_open(g, k)).vertices)),
-        "MissingParamError",
     ]
-    assert done.stdout.split("\n")[:4] == expected
+    assert done.stdout.split("\n")[:3] == expected

@@ -118,6 +118,32 @@ class TestOracle:
         assert sol.vertices == best
 
 
+def _lex_first_minimum(inst: Instance) -> frozenset[int] | None:
+    """The first feasible set by size, then by its sorted vertex tuple."""
+    n = inst.graph.n
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            if is_feasible(inst, combo).feasible:
+                return frozenset(combo)
+    return None
+
+
+def _streamed_oracle_returns_lex_first() -> None:
+    # above the cached masks' size, so the oracle streams its subsets
+    for case in range(12):
+        rng = random.Random(f"oracle-lex-first:{case}")
+        n = 13 + case % 3
+        g = random_gnp(n, 0.3, rng)
+        demands = tuple(rng.randint(0, min(2, g.degree(v))) for v in range(n))
+        inst = (_total_open if case % 2 else _partial_open)(g, demands)
+        assert n > exact._CACHED_MASKS
+        assert brute_force_minimum(inst).vertices == _lex_first_minimum(inst), case
+
+
+def test_streamed_oracle_returns_lex_first_minimum() -> None:
+    _streamed_oracle_returns_lex_first()
+
+
 class TestCompleteVector:
     def test_descending_demands(self) -> None:
         assert len(solve_complete_vector(complete_graph(4), (3, 2, 1, 0)).vertices) == 2

@@ -43,6 +43,7 @@ from .test_exact import (
     _checked_tree,
     _outcomes,
     _random_row,
+    _streamed_oracle_returns_lex_first,
     _unpruned_cograph,
 )
 from .test_gadgets import _gadget_calls
@@ -205,6 +206,11 @@ MUTANTS = {
     "a dominating vertex stays out one step too long": Mutant(
         exact, "_threshold_takes", (("need > i or", "need > i + 1 or"),),
         _threshold_dp_matches_oracle,
+    ),
+    # the oracle's subsets
+    "the streamed subsets leave out vertex 0": Mutant(
+        exact, "_masks", (("for v in range(n)]", "for v in range(1, n)]"),),
+        _streamed_oracle_returns_lex_first,
     ),
     # the cotree build
     "union parts are written in reverse": Mutant(

@@ -4,11 +4,14 @@
   invariant the package relies on is a check that raises instead.
 - No use of ``gc``: collector tuning is no fix for a slow path.
 - No ``sys.setrecursionlimit``: deep decompositions run iteratively.
+- A name the package exports is in its module's ``__all__``, where the
+  module has one, so the two public lists agree.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,24 @@ def test_module_keeps_the_source_rules(path) -> None:
 )
 def test_each_rule_is_seen(source) -> None:
     assert _broken_rules(ast.parse(source))
+
+
+def _export_homes() -> dict[str, str]:
+    """Each name the package imports from one of its modules, with that module."""
+    tree = ast.parse(Path(vecdom.__file__).read_text("utf-8"))
+    return {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def test_package_exports_are_in_their_module_all() -> None:
+    homes = _export_homes()
+    missing = []
+    for name in vecdom.__all__:
+        module = importlib.import_module(f"vecdom.{homes[name]}")
+        if hasattr(module, "__all__") and name not in module.__all__:
+            missing.append(f"{name} from vecdom.{homes[name]}")
+    assert missing == []
